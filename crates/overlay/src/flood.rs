@@ -28,6 +28,10 @@
 //! counters), from which [`CensusOutcome::at`] reconstructs the
 //! [`FloodOutcome`] of *every* TTL ≤ `max_ttl` bit for bit. An 8-point
 //! TTL curve then costs one expanding ball instead of the sum of eight.
+//!
+//! [`LaneCensus`] runs up to [`LANES`] fault-free censuses in one BFS
+//! pass on `u64` lane masks, each lane bitwise its per-trial census —
+//! the kernel behind `sim::sweep_ttl`.
 
 use crate::graph::Graph;
 use qcp_faults::{FaultPlan, FaultStats};
@@ -853,6 +857,192 @@ impl FloodEngine {
     ) -> u32 {
         self.flood(graph, source, ttl, &[], forwarders).reached
     }
+}
+
+// ---------------------------------------------------------------------
+// Lane-batched census: up to 64 fault-free floods per BFS pass.
+// ---------------------------------------------------------------------
+
+/// Trials one [`LaneCensus`] pass carries — one bit of a `u64` lane mask
+/// each.
+pub const LANES: usize = 64;
+
+/// Bit-parallel hop census for up to [`LANES`] independent fault-free
+/// floods at once (a multi-source BFS after Then et al., "The More the
+/// Merrier", VLDB 2014).
+///
+/// Every node carries three `u64` lane masks — `seen`, `frontier` and
+/// `next`, 24 bytes/node — where bit `l` belongs to lane `l`'s flood. One
+/// level scans the nodes whose frontier mask is non-zero and ORs
+/// `frontier[u] & !seen[v]` into each neighbour's `next`, so a
+/// neighbourhood that several trials reach at the same hop is scanned
+/// once for all of them.
+///
+/// Each lane's [`CensusOutcome`] is bitwise the one
+/// [`FloodEngine::flood_census`] returns for the same source and holders,
+/// and the recorder sees exactly the calls that census would make (see
+/// DESIGN.md §8, "Lane-batched census"). Faulty floods cannot batch:
+/// their drop draws key on each flood's own message index, which depends
+/// on traversal order.
+///
+/// ```
+/// use qcp_overlay::{FloodEngine, Graph, LaneCensus};
+/// use qcp_obs::NoopRecorder;
+///
+/// let graph = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+/// let mut lanes = LaneCensus::new(4);
+/// lanes.run(&graph, &[(0, &[2]), (3, &[])], 3, None, &mut NoopRecorder);
+/// let mut engine = FloodEngine::new(4);
+/// assert_eq!(lanes.outcomes()[0], engine.flood_census(&graph, 0, 3, &[2], None));
+/// assert_eq!(lanes.outcomes()[1], engine.flood_census(&graph, 3, 3, &[], None));
+/// ```
+#[derive(Debug, Clone)]
+pub struct LaneCensus {
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+    lanes: Vec<CensusOutcome>,
+}
+
+impl LaneCensus {
+    /// Lane state for graphs with `num_nodes` nodes.
+    pub fn new(num_nodes: usize) -> Self {
+        Self {
+            seen: vec![0; num_nodes],
+            frontier: vec![0; num_nodes],
+            next: vec![0; num_nodes],
+            lanes: Vec::new(),
+        }
+    }
+
+    /// The censuses of the most recent [`Self::run`], one per trial in
+    /// input order.
+    pub fn outcomes(&self) -> &[CensusOutcome] {
+        &self.lanes
+    }
+
+    /// Runs one fault-free, unpruned census to `max_ttl` per trial —
+    /// `trials[l]` is lane `l`'s `(source, sorted holders)` — and replays
+    /// into `rec`, lane by lane, the calls [`FloodEngine::run_into`]
+    /// would make for each trial.
+    ///
+    /// # Panics
+    ///
+    /// If `trials` holds more than [`LANES`] entries.
+    pub fn run<R: Recorder>(
+        &mut self,
+        graph: &Graph,
+        trials: &[(u32, &[u32])],
+        max_ttl: u32,
+        forwarders: Option<&[bool]>,
+        rec: &mut R,
+    ) {
+        assert!(
+            trials.len() <= LANES,
+            "a lane census carries at most {LANES} trials"
+        );
+        debug_assert_eq!(self.seen.len(), graph.num_nodes());
+        self.seen.fill(0);
+        self.lanes.resize_with(trials.len(), CensusOutcome::default);
+        let mut reached = [1u32; LANES];
+        let mut messages = [0u64; LANES];
+        // Lanes whose frontier is non-empty.
+        let mut alive = 0u64;
+        for (l, (&(source, holders), out)) in trials.iter().zip(&mut self.lanes).enumerate() {
+            debug_assert!(holders.windows(2).all(|w| w[0] < w[1]));
+            let bit = 1u64 << l;
+            self.seen[source as usize] |= bit;
+            self.frontier[source as usize] |= bit;
+            alive |= bit;
+            out.reached.clear();
+            out.messages.clear();
+            out.reached.push(1);
+            out.messages.push(0);
+            out.first_hit_hop = holders.binary_search(&source).is_ok().then_some(0);
+        }
+        let mut hop = 0u32;
+        while hop < max_ttl && alive != 0 {
+            hop += 1;
+            let expanding = alive;
+            alive = 0;
+            for u in 0..self.frontier.len() {
+                let f = self.frontier[u];
+                if f == 0 {
+                    continue;
+                }
+                self.frontier[u] = 0;
+                // Only forwarders expand. At hop 1 the frontier holds
+                // only sources, and a source always sends.
+                if hop > 1 && forwarders.is_some_and(|mask| !mask[u]) {
+                    continue;
+                }
+                let neighbors = graph.neighbors(u as u32);
+                let degree = neighbors.len() as u64;
+                for l in lane_bits(f) {
+                    messages[l] += degree;
+                }
+                for &v in neighbors {
+                    let v = v as usize;
+                    let fresh = f & !self.seen[v];
+                    if fresh != 0 {
+                        self.seen[v] |= fresh;
+                        self.next[v] |= fresh;
+                        alive |= fresh;
+                        for l in lane_bits(fresh) {
+                            reached[l] += 1;
+                        }
+                    }
+                }
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
+            for l in lane_bits(expanding) {
+                let out = &mut self.lanes[l];
+                out.reached.push(reached[l]);
+                out.messages.push(messages[l]);
+                if out.first_hit_hop.is_none() {
+                    let holders = trials[l].1;
+                    if holders
+                        .iter()
+                        .any(|&h| self.frontier[h as usize] >> l & 1 != 0)
+                    {
+                        out.first_hit_hop = Some(hop);
+                    }
+                }
+            }
+        }
+        if alive != 0 {
+            // Stopped by the TTL cap: clear the unexpanded frontier.
+            self.frontier.fill(0);
+        }
+        for out in &self.lanes {
+            rec.rec_span(Kernel::Flood);
+            for (h, level) in out.messages.windows(2).enumerate() {
+                rec.rec_hop(Kernel::Flood, h as u32 + 1, level[1] - level[0]);
+            }
+            let total = out.messages.last().copied().unwrap_or(0);
+            rec.rec_count(Kernel::Flood, Counter::Messages, total);
+            rec.rec_event(
+                Kernel::Flood,
+                if out.first_hit_hop.is_some() {
+                    Event::Hit
+                } else {
+                    Event::Miss
+                },
+            );
+        }
+    }
+}
+
+/// The set lanes of `mask`, lowest first.
+#[inline]
+fn lane_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
 }
 
 #[cfg(test)]

@@ -53,8 +53,8 @@ pub use event::{
 };
 pub use expanding::{expanding_ring_search, expanding_ring_search_faulty, ExpandingOutcome};
 pub use flood::{
-    CensusBuf, CensusOutcome, FloodEngine, FloodFaults, FloodOutcome, FloodSpec, VisitedRepr,
-    BITSET_THRESHOLD,
+    CensusBuf, CensusOutcome, FloodEngine, FloodFaults, FloodOutcome, FloodSpec, LaneCensus,
+    VisitedRepr, BITSET_THRESHOLD, LANES,
 };
 pub use graph::Graph;
 pub use metrics::{graph_metrics, GraphMetrics};

@@ -2,15 +2,20 @@
 //!
 //! For each trial, pick a source peer and a target object, flood, and
 //! record success/reach/messages. Trials are deterministic functions of
-//! `(seed, trial_index)` and run across the `qcp-xpar` pool in chunks,
-//! each chunk owning one reusable [`FloodEngine`].
+//! `(seed, trial_index)` and run across the `qcp-xpar` pool in chunks.
+//! A fault-free census chunk is one batch of up to [`LANES`] consecutive
+//! trials flooded together by a [`LaneCensus`]; every other sweep's
+//! chunk owns one reusable [`FloodEngine`] and floods trial by trial.
 //!
 //! # One census per trial
 //!
 //! [`sweep_ttl`]/[`sweep_ttl_faulty`] produce a whole TTL curve from
-//! **one** BFS per trial: [`FloodEngine::flood_census`] runs at
-//! `max(ttls)` and its per-level snapshots reconstruct every shorter
-//! flood exactly (the BFS prefix property — see `flood`'s module docs).
+//! **one** census per trial, run at `max(ttls)`: its per-level snapshots
+//! reconstruct every shorter flood exactly (the BFS prefix property — see
+//! `flood`'s module docs). [`sweep_ttl`] runs 64 of those censuses per
+//! BFS pass on `u64` lane masks ([`LaneCensus`]); [`sweep_ttl_faulty`]
+//! keeps one [`FloodEngine`] census per trial, because its drop draws key
+//! on each flood's own message order.
 //! Trials use *common random numbers* across TTLs: the trial RNG is
 //! keyed by `trial` alone, so every TTL point of a curve shares the same
 //! `(source, object)` stream. An 8-point curve therefore costs one
@@ -24,7 +29,7 @@
 //! bitwise-equal in tests, the census one is just ≥3× cheaper on the
 //! 8-TTL Figure-8 curve (`repro bench`).
 
-use crate::flood::{CensusBuf, FloodEngine, FloodSpec};
+use crate::flood::{CensusBuf, FloodEngine, FloodSpec, LaneCensus, LANES};
 use crate::graph::Graph;
 use crate::placement::Placement;
 use qcp_faults::{FaultPlan, FaultStats};
@@ -366,10 +371,11 @@ fn flood_trials_faulty_with_sampler(
     }
 }
 
-/// Sweeps TTLs with **one hop-census flood per trial**: the BFS runs at
-/// `max(ttls)` and every TTL point of the curve is reconstructed from
-/// its per-level snapshots ([`CensusOutcome::at`]) — bitwise-identical
-/// to [`sweep_ttl_reference`] at a fraction of the cost.
+/// Sweeps TTLs with **one hop census per trial**, 64 trials per BFS
+/// pass ([`LaneCensus`]): the census runs at `max(ttls)` and every TTL
+/// point of the curve is reconstructed from its per-level snapshots
+/// ([`CensusOutcome::at`]) — bitwise-identical to
+/// [`sweep_ttl_reference`] at a fraction of the cost.
 ///
 /// [`CensusOutcome::at`]: crate::flood::CensusOutcome::at
 pub fn sweep_ttl(
@@ -391,13 +397,15 @@ pub fn sweep_ttl(
     )
 }
 
-/// [`sweep_ttl`] with an explicit [`Recorder`]. Each worker chunk forks
-/// a child recorder and the children are absorbed **in chunk-index
-/// order** after the parallel section, so the merged recorder state —
-/// like the sweep itself — is independent of pool width. The recorder is
-/// write-only: it is never consulted by the trial RNG or control flow,
-/// so the returned curve is bitwise-identical whether `rec` is a
-/// [`NoopRecorder`] or a [`qcp_obs::MetricsRecorder`] (pinned in tests).
+/// [`sweep_ttl`] with an explicit [`Recorder`]. Each lane batch forks
+/// a child recorder, which receives per trial the calls a
+/// [`FloodEngine::run_into`] census would make, and the children are
+/// absorbed **in batch-index order** after the parallel section, so the
+/// merged recorder state — like the sweep itself — is independent of
+/// pool width. The recorder is write-only: it is never consulted by the
+/// trial RNG or control flow, so the returned curve is bitwise-identical
+/// whether `rec` is a [`NoopRecorder`] or a [`qcp_obs::MetricsRecorder`]
+/// (pinned in tests).
 #[allow(clippy::too_many_arguments)] // mirrors sweep_ttl plus the recorder
 pub fn sweep_ttl_rec<R: Recorder>(
     pool: &Pool,
@@ -415,43 +423,35 @@ pub fn sweep_ttl_rec<R: Recorder>(
     }
     let max_ttl = ttls.iter().copied().max().unwrap_or(0);
     let sampler = TargetSampler::new(placement, config.target);
-    let chunks = (pool.threads() * 4).max(1);
-    let per_chunk = config.trials.div_ceil(chunks);
+    let batches = config.trials.div_ceil(LANES);
 
     let parent: &R = &*rec;
-    let partials: Vec<(Vec<PointAcc>, u64, R)> = pool.par_map_indexed(chunks, |c| {
-        // Arena state per chunk: one engine and one census buffer serve
-        // every trial, so the steady-state trial loop allocates nothing.
-        let mut engine = FloodEngine::new(n);
-        let mut buf = CensusBuf::default();
+    let partials: Vec<(Vec<PointAcc>, u64, R)> = pool.par_map_indexed(batches, |b| {
+        // One chunk is one lane batch of up to LANES consecutive trials,
+        // so chunking depends on the trial count alone, never pool width.
+        let lo = b * LANES;
+        let hi = (lo + LANES).min(config.trials);
+        let batch: Vec<(u32, &[u32])> = (lo..hi)
+            .map(|trial| {
+                let mut rng = Pcg64::new(child_seed(config.seed, trial as u64));
+                let source = rng.index(n) as u32;
+                let object = sampler.sample(&mut rng);
+                (source, sampler.placement.holders(object))
+            })
+            .collect();
+        let mut lanes = LaneCensus::new(n);
         let mut child = parent.fork();
+        lanes.run(graph, &batch, max_ttl, forwarders, &mut child);
         let mut accs = vec![PointAcc::default(); ttls.len()];
-        let mut trials = 0u64;
-        let lo = c * per_chunk;
-        let hi = (lo + per_chunk).min(config.trials);
-        let spec = FloodSpec::new(max_ttl);
-        for trial in lo..hi {
-            let mut rng = Pcg64::new(child_seed(config.seed, trial as u64));
-            let source = rng.index(n) as u32;
-            let object = sampler.sample(&mut rng);
-            engine.run_into(
-                graph,
-                source,
-                sampler.placement.holders(object),
-                forwarders,
-                &spec,
-                &mut child,
-                &mut buf,
-            );
-            trials += 1;
+        for census in lanes.outcomes() {
             for (acc, &ttl) in accs.iter_mut().zip(ttls) {
-                let out = buf.census.at(ttl);
+                let out = census.at(ttl);
                 acc.successes += out.found as u64;
                 acc.reached += out.reached as u64;
                 acc.messages += out.messages;
             }
         }
-        (accs, trials, child)
+        (accs, batch.len() as u64, child)
     });
 
     let mut totals = vec![PointAcc::default(); ttls.len()];

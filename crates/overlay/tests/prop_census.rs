@@ -14,10 +14,15 @@
 //!    faulty (drop draws key on `(edge, nonce, msg_index)`, which never
 //!    mention the TTL), and the census sweeps must be bitwise-equal to
 //!    the per-TTL reference sweeps.
+//! 3. **Lane pins** — every lane of the bit-parallel [`LaneCensus`] must
+//!    equal a per-trial [`FloodEngine::flood_census`] for the same source
+//!    and holders, and its recorder replay must equal the per-trial
+//!    census's recorder calls.
 
 use proptest::prelude::*;
 use qcp_faults::{FaultConfig, FaultPlan, FaultStats};
-use qcp_overlay::flood::FloodEngine;
+use qcp_obs::{MetricsRecorder, NoopRecorder};
+use qcp_overlay::flood::{CensusBuf, FloodEngine, FloodSpec, LaneCensus, LANES};
 use qcp_overlay::placement::PlacementModel;
 use qcp_overlay::sim::{
     sweep_ttl, sweep_ttl_faulty, sweep_ttl_faulty_reference, sweep_ttl_reference, SimConfig,
@@ -34,6 +39,27 @@ fn world(seed: u64, holder_seed: u64, n: usize) -> (qcp_overlay::Graph, Vec<u32>
         .filter(|&v| qcp_util::hash::mix64(holder_seed ^ v as u64).is_multiple_of(17))
         .collect();
     (g, holders)
+}
+
+/// A batch of `lanes` trials over `n` nodes: sources drawn from a pool
+/// of `n / 8` nodes (so batches repeat sources), each with its own
+/// sorted holder set; lane 0's source always holds its object.
+fn lane_trials(seed: u64, lanes: usize, n: usize) -> Vec<(u32, Vec<u32>)> {
+    (0..lanes as u64)
+        .map(|l| {
+            let mix = qcp_util::hash::mix64(seed ^ l.rotate_left(32));
+            let source = (mix % (n as u64 / 8).max(1)) as u32;
+            let bar = 5 + mix % 40;
+            let mut holders: Vec<u32> = (0..n as u32)
+                .filter(|&v| qcp_util::hash::mix64(mix ^ v as u64).is_multiple_of(bar))
+                .collect();
+            if l == 0 && holders.binary_search(&source).is_err() {
+                holders.push(source);
+                holders.sort_unstable();
+            }
+            (source, holders)
+        })
+        .collect()
 }
 
 /// A lossy + churny plan over `n` nodes.
@@ -170,6 +196,81 @@ proptest! {
                 prop_assert_eq!(c.mean_messages.to_bits(), r.mean_messages.to_bits());
                 prop_assert_eq!(c.stats, r.stats);
                 prop_assert_eq!(c.dead_sources, r.dead_sources);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn lane_census_equals_per_trial_census(seed in 0u64..1_000, lanes in 1usize..=LANES,
+                                           max_ttl in 0u32..9, density in 0usize..3,
+                                           leaves in 0u64..4) {
+        // Sparse densities leave isolated nodes and frontiers that die
+        // before the TTL cap; `leaves` turns sources into non-forwarders.
+        let n = 160;
+        let g = topology::erdos_renyi(n, [0.7, 2.0, 5.0][density], seed).graph;
+        let forwarders: Vec<bool> = (0..n as u64)
+            .map(|v| leaves == 0 || !qcp_util::hash::mix64(seed ^ v).is_multiple_of(leaves + 1))
+            .collect();
+        let fw = (leaves != 0).then_some(forwarders.as_slice());
+        let trials = lane_trials(seed, lanes, n);
+        let batch: Vec<(u32, &[u32])> =
+            trials.iter().map(|(s, h)| (*s, h.as_slice())).collect();
+        let mut lane = LaneCensus::new(n);
+        let mut lane_rec = MetricsRecorder::new();
+        lane.run(&g, &batch, max_ttl, fw, &mut lane_rec);
+        prop_assert_eq!(lane.outcomes().len(), lanes);
+
+        let mut engine = FloodEngine::new(n);
+        let mut buf = CensusBuf::default();
+        let mut trial_rec = MetricsRecorder::new();
+        for (l, &(source, holders)) in batch.iter().enumerate() {
+            let got = &lane.outcomes()[l];
+            let want = engine.flood_census(&g, source, max_ttl, holders, fw);
+            prop_assert_eq!(&got.reached, &want.reached, "lane {} reached", l);
+            prop_assert_eq!(&got.messages, &want.messages, "lane {} messages", l);
+            prop_assert_eq!(got.first_hit_hop, want.first_hit_hop, "lane {} first hit", l);
+            prop_assert_eq!(got.levels(), want.levels(), "lane {} levels", l);
+            engine.run_into(&g, source, holders, fw, &FloodSpec::new(max_ttl),
+                            &mut trial_rec, &mut buf);
+        }
+        prop_assert_eq!(lane.outcomes()[0].first_hit_hop, Some(0), "source holder");
+        prop_assert_eq!(lane_rec, trial_rec, "recorder replay");
+
+        // Reuse: a second, different batch on the same lane state.
+        let again = lane_trials(seed ^ 0x5a, lanes, n);
+        let batch: Vec<(u32, &[u32])> =
+            again.iter().map(|(s, h)| (*s, h.as_slice())).collect();
+        lane.run(&g, &batch, max_ttl, fw, &mut NoopRecorder);
+        for (l, &(source, holders)) in batch.iter().enumerate() {
+            let want = engine.flood_census(&g, source, max_ttl, holders, fw);
+            prop_assert_eq!(&lane.outcomes()[l], &want, "reused lane {}", l);
+        }
+    }
+}
+
+/// Sweeps whose trial count leaves a partial lane batch — and the
+/// single-trial and TTL-0 corners — stay bitwise the reference sweep.
+#[test]
+fn partial_lane_batches_pin_reference_bitwise() {
+    let t = topology::erdos_renyi(300, 3.0, 71);
+    let p = Placement::generate(PlacementModel::UniformK(3), 300, 60, 72);
+    let forwarders: Vec<bool> = (0..300).map(|v| v % 3 != 0).collect();
+    let pool = Pool::new(2);
+    for trials in [1usize, 63, 64, 65, 129] {
+        for ttls in [&[0u32][..], &[1, 2, 3, 5]] {
+            for fw in [None, Some(forwarders.as_slice())] {
+                let config = SimConfig {
+                    trials,
+                    target: TargetModel::UniformObject,
+                    seed: 73,
+                };
+                let census = sweep_ttl(&pool, &t.graph, &p, fw, ttls, &config);
+                let reference = sweep_ttl_reference(&pool, &t.graph, &p, fw, ttls, &config);
+                assert_eq!(census, reference, "trials {trials} ttls {ttls:?}");
             }
         }
     }

@@ -703,6 +703,81 @@ fn recording_on_vs_off_is_bit_identical() {
     );
 }
 
+/// The recorder `sweep_ttl_rec` fills must equal the one a per-trial
+/// `FloodEngine::run_into` loop fills over the same `(seed, trial)`
+/// stream: spans, the Messages counter, Hit/Miss tallies and the hop
+/// histogram bin for bin, so the sweep neither drops nor pads a level.
+/// 333 trials leave a partial lane batch.
+#[test]
+fn census_sweep_recorder_equals_per_trial_recorder() {
+    use qcp2p::obs::Event;
+    use qcp2p::overlay::{CensusBuf, FloodEngine, FloodSpec};
+    use qcp2p::util::rng::{child_seed, Pcg64};
+
+    let t = topo();
+    let fwd = t.forwarders();
+    let zipf = Placement::generate(
+        PlacementModel::ZipfReplicas { tau: 2.05 },
+        N as u32,
+        1_000,
+        7,
+    );
+    let cfg = SimConfig {
+        trials: 333,
+        seed: 0xf18,
+        ..Default::default()
+    };
+    let mut swept = MetricsRecorder::new();
+    sweep_ttl_rec(
+        &Pool::new(2),
+        &t.graph,
+        &zipf,
+        Some(&fwd),
+        &TTLS,
+        &cfg,
+        &mut swept,
+    );
+
+    let mut engine = FloodEngine::new(N);
+    let mut buf = CensusBuf::default();
+    let mut per_trial = MetricsRecorder::new();
+    let spec = FloodSpec::new(TTLS[TTLS.len() - 1]);
+    for trial in 0..cfg.trials {
+        // The sweep's trial stream: source first, then the object.
+        let mut rng = Pcg64::new(child_seed(cfg.seed, trial as u64));
+        let source = rng.index(N) as u32;
+        let object = rng.index(zipf.num_objects()) as u32;
+        engine.run_into(
+            &t.graph,
+            source,
+            zipf.holders(object),
+            Some(&fwd),
+            &spec,
+            &mut per_trial,
+            &mut buf,
+        );
+    }
+
+    let k = Kernel::Flood;
+    assert_eq!(swept.spans(k), cfg.trials as u64);
+    assert_eq!(swept.spans(k), per_trial.spans(k));
+    assert_eq!(
+        swept.total(k, Counter::Messages),
+        per_trial.total(k, Counter::Messages)
+    );
+    for event in [Event::Hit, Event::Miss] {
+        assert_eq!(
+            swept.event_count(k, event),
+            per_trial.event_count(k, event),
+            "{event:?}"
+        );
+    }
+    assert!(swept.event_count(k, Event::Hit) > 0 && swept.event_count(k, Event::Miss) > 0);
+    assert_eq!(swept.hop_histogram(k), per_trial.hop_histogram(k));
+    assert_eq!(swept.hop_histogram(k).len(), TTLS.len() + 1);
+    assert_eq!(swept, per_trial, "the whole recorder state");
+}
+
 fn profile_session() -> qcp_bench::Repro {
     let mut r = qcp_bench::Repro::new(std::env::temp_dir().join("qcp-determinism"), Scale::Test);
     r.trials = 120;
