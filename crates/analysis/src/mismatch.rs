@@ -7,7 +7,8 @@
 
 use crate::intervals::IntervalIndex;
 use crate::popularity::PopularityRule;
-use qcp_terms::{tokenize, TermDict};
+use crate::replication::FileTermPeers;
+use qcp_terms::TermDict;
 use qcp_util::jaccard::jaccard_sorted;
 use qcp_util::{FxHashMap, Symbol};
 
@@ -20,7 +21,22 @@ pub struct PopularFileTerms {
     pub unique_terms: usize,
 }
 
-/// Extracts the popular file-term set from `(peer, name)` crawl records.
+impl PopularFileTerms {
+    /// Cuts the popular set from a crawl's term table with `rule`, taking
+    /// each term's distinct-peer count as its popularity.
+    pub fn from_term_peers(terms: &FileTermPeers, rule: PopularityRule) -> Self {
+        let by_symbol: FxHashMap<Symbol, u32> = terms.counts().iter().copied().collect();
+        let total: u64 = terms.counts().iter().map(|&(_, c)| u64::from(c)).sum();
+        Self {
+            popular: rule.extract(&by_symbol, total),
+            unique_terms: terms.counts().len(),
+        }
+    }
+}
+
+/// Extracts the popular file-term set from `(peer, name)` crawl records:
+/// [`FileTermPeers::build`] followed by
+/// [`PopularFileTerms::from_term_peers`].
 ///
 /// Popularity is measured as the number of *distinct peers* sharing at
 /// least one file containing the term (matching Figure 3's x-axis), and
@@ -34,27 +50,7 @@ pub fn popular_file_terms<'a, I>(
 where
     I: IntoIterator<Item = (u32, &'a str)>,
 {
-    // term -> distinct peer count, via a last-peer cache per term (records
-    // are usually grouped by peer, but correctness doesn't require it).
-    let mut peer_sets: FxHashMap<Symbol, qcp_util::FxHashSet<u32>> = FxHashMap::default();
-    for (peer, name) in records {
-        for term in tokenize(name) {
-            let sym = dict.intern(&term);
-            peer_sets.entry(sym).or_default().insert(peer);
-        }
-    }
-    let counts: FxHashMap<Symbol, u32> = peer_sets
-        .iter()
-        .map(|(&s, peers)| (s, peers.len() as u32))
-        .collect();
-    // qcplint: allow(unordered-iter) — commutative integer sum; the fold
-    // is order-independent by construction.
-    let total: u64 = counts.values().map(|&c| c as u64).sum();
-    let popular = rule.extract(&counts, total);
-    PopularFileTerms {
-        popular,
-        unique_terms: counts.len(),
-    }
+    PopularFileTerms::from_term_peers(&FileTermPeers::build(records, dict), rule)
 }
 
 /// Figure 7 output.

@@ -4,11 +4,65 @@
 //! analysis therefore groups crawl records by name (raw or sanitized) and
 //! counts, per distinct name, the number of *distinct peers* sharing it;
 //! the descending count series is the Figure 1/2 rank plot. Figure 3 does
-//! the same per *term* after protocol tokenization.
+//! the same per *term* after protocol tokenization, from the
+//! [`FileTermPeers`] table that the popular file-term set (Figure 7)
+//! reads too.
+//!
+//! Distinct peers are counted by sorting and deduplicating `(key, peer)`
+//! pairs ([`distinct_peer_counts`]), not with a hash set per key.
 
-use qcp_terms::{sanitize_name, tokenize};
-use qcp_util::{FxHashMap, FxHashSet};
+use qcp_terms::{for_each_token, sanitize_name, TermDict};
+use qcp_util::{FxHashMap, Symbol};
 use qcp_zipf::{fit_tail_mle, TailFit};
+use std::borrow::Cow;
+
+/// Distinct peers per key, from `(key, peer)` pairs in any order and with
+/// any repeats: sorts and deduplicates the pairs, then counts each key's
+/// run. Returns `(key, distinct peers)` sorted by key.
+pub(crate) fn distinct_peer_counts<K: Ord + Copy>(mut pairs: Vec<(K, u32)>) -> Vec<(K, u32)> {
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut counts: Vec<(K, u32)> = Vec::new();
+    for (key, _) in pairs {
+        match counts.last_mut() {
+            Some((k, c)) if *k == key => *c += 1,
+            _ => counts.push((key, 1)),
+        }
+    }
+    counts
+}
+
+/// Distinct-peer count per name term of a crawl: the one table behind
+/// Figure 3 ([`TermReplicationAnalysis`]) and the popular file-term set
+/// of Figure 7 ([`crate::mismatch::PopularFileTerms`]).
+#[derive(Debug, Clone)]
+pub struct FileTermPeers {
+    counts: Vec<(Symbol, u32)>,
+}
+
+impl FileTermPeers {
+    /// Tokenizes every `(peer, name)` record with the protocol tokenizer,
+    /// interning its terms into `dict` in record order (without counting
+    /// occurrences), and counts distinct peers per term.
+    pub fn build<'a, I>(records: I, dict: &mut TermDict) -> Self
+    where
+        I: IntoIterator<Item = (u32, &'a str)>,
+    {
+        let mut pairs = Vec::new();
+        for (peer, name) in records {
+            for_each_token(name, |term| pairs.push((dict.intern(term), peer)));
+        }
+        Self {
+            counts: distinct_peer_counts(pairs),
+        }
+    }
+
+    /// `(term, distinct peers sharing a file whose name contains it)`,
+    /// one entry per term, sorted by symbol.
+    pub fn counts(&self) -> &[(Symbol, u32)] {
+        &self.counts
+    }
+}
 
 /// Replication distribution of objects (distinct names).
 #[derive(Debug, Clone)]
@@ -31,7 +85,7 @@ impl ReplicationAnalysis {
     where
         I: IntoIterator<Item = (u32, &'a str)>,
     {
-        Self::build(num_peers, records, |name| name.to_string())
+        Self::build(num_peers, records, Cow::Borrowed)
     }
 
     /// Analyzes sanitized names (the Figure 2 variant).
@@ -39,27 +93,23 @@ impl ReplicationAnalysis {
     where
         I: IntoIterator<Item = (u32, &'a str)>,
     {
-        Self::build(num_peers, records, sanitize_name)
+        Self::build(num_peers, records, |name| Cow::Owned(sanitize_name(name)))
     }
 
     fn build<'a, I, K>(num_peers: u32, records: I, canonicalize: K) -> Self
     where
         I: IntoIterator<Item = (u32, &'a str)>,
-        K: Fn(&str) -> String,
+        K: Fn(&'a str) -> Cow<'a, str>,
     {
-        // name -> set of peers. Peer sets are typically tiny (the whole
-        // point of the paper), so small hash sets are fine.
-        let mut by_name: FxHashMap<String, FxHashSet<u32>> = FxHashMap::default();
-        let mut total = 0usize;
+        // Dense id per distinct name, then one (id, peer) pair per record.
+        let mut ids: FxHashMap<Cow<'a, str>, u32> = FxHashMap::default();
+        let mut pairs = Vec::new();
         for (peer, name) in records {
-            total += 1;
-            by_name.entry(canonicalize(name)).or_default().insert(peer);
+            let next = ids.len() as u32;
+            pairs.push((*ids.entry(canonicalize(name)).or_insert(next), peer));
         }
-        // qcplint: allow(unordered-iter) — plain counts are collected and
-        // then fully sorted; duplicates are indistinguishable, so hash
-        // order cannot reach the output.
-        let mut counts_desc: Vec<u32> = by_name.values().map(|s| s.len() as u32).collect();
-        counts_desc.sort_unstable_by(|a, b| b.cmp(a));
+        let total = pairs.len();
+        let counts_desc = counts_desc(&distinct_peer_counts(pairs));
         let tail = fit_tail(&counts_desc);
         Self {
             num_peers,
@@ -142,17 +192,12 @@ impl TermReplicationAnalysis {
     where
         I: IntoIterator<Item = (u32, &'a str)>,
     {
-        let mut by_term: FxHashMap<String, FxHashSet<u32>> = FxHashMap::default();
-        for (peer, name) in records {
-            for term in tokenize(name) {
-                by_term.entry(term).or_default().insert(peer);
-            }
-        }
-        // qcplint: allow(unordered-iter) — plain counts are collected and
-        // then fully sorted; duplicates are indistinguishable, so hash
-        // order cannot reach the output.
-        let mut counts_desc: Vec<u32> = by_term.values().map(|s| s.len() as u32).collect();
-        counts_desc.sort_unstable_by(|a, b| b.cmp(a));
+        Self::from_term_peers(&FileTermPeers::build(records, &mut TermDict::new()))
+    }
+
+    /// The distribution of an already built term table.
+    pub fn from_term_peers(terms: &FileTermPeers) -> Self {
+        let counts_desc = counts_desc(terms.counts());
         let tail = fit_tail(&counts_desc);
         Self {
             unique_terms: counts_desc.len(),
@@ -182,6 +227,13 @@ impl TermReplicationAnalysis {
             .map(|r| (r as u64 + 1, self.counts_desc[r] as u64))
             .collect()
     }
+}
+
+/// The counts of `(key, count)` pairs, sorted descending.
+fn counts_desc<K>(counts: &[(K, u32)]) -> Vec<u32> {
+    let mut desc: Vec<u32> = counts.iter().map(|&(_, c)| c).collect();
+    desc.sort_unstable_by(|a, b| b.cmp(a));
+    desc
 }
 
 fn fit_tail(counts_desc: &[u32]) -> TailFit {
@@ -236,6 +288,13 @@ mod tests {
         assert_eq!(a.unique_objects, 3);
         // "other tunemp3" now on peers 2 and 4.
         assert_eq!(a.counts_desc, vec![3, 2, 1]);
+    }
+
+    #[test]
+    fn distinct_peer_counts_sorts_by_key_and_drops_repeats() {
+        let pairs = vec![(7u32, 2), (3, 1), (7, 2), (3, 4), (7, 1), (3, 1)];
+        assert_eq!(distinct_peer_counts(pairs), vec![(3, 2), (7, 2)]);
+        assert!(distinct_peer_counts(Vec::<(u32, u32)>::new()).is_empty());
     }
 
     #[test]

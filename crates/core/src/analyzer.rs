@@ -3,8 +3,8 @@
 use crate::config::AnalyzerConfig;
 use crate::findings::{Figure4Findings, Findings};
 use qcp_analysis::{
-    mismatch, stability, transient, AnnotationAnalysis, CrawlSummary, IntervalIndex, QuerySummary,
-    ReplicationAnalysis, TermReplicationAnalysis,
+    mismatch, stability, transient, AnnotationAnalysis, CrawlSummary, FileTermPeers, IntervalIndex,
+    PopularFileTerms, QuerySummary, QueryTerms, ReplicationAnalysis, TermReplicationAnalysis,
 };
 use qcp_terms::TermDict;
 use qcp_tracegen::{Crawl, ItunesTrace, QueryTrace, Vocabulary};
@@ -37,12 +37,22 @@ impl QueryCentricAnalyzer {
 
     /// Analyzes externally supplied traces (the path a user with real
     /// crawl/query data would take).
+    ///
+    /// Each trace is tokenized once: the crawl names into one term table
+    /// (Figure 3 and the popular file terms of Figure 7), the queries into
+    /// one symbol stream that every evaluation interval buckets.
     pub fn analyze(&self, crawl: &Crawl, itunes: &ItunesTrace, queries: &QueryTrace) -> Findings {
         // --- Figures 1-3: crawl-side distributions --------------------
         let records = || crawl.files.iter().map(|f| (f.peer, f.name.as_str()));
         let fig1 = ReplicationAnalysis::from_names(crawl.num_peers, records());
         let fig2 = ReplicationAnalysis::from_sanitized_names(crawl.num_peers, records());
-        let fig3 = TermReplicationAnalysis::from_names(records());
+        // One shared dictionary so query terms and file terms live in the
+        // same symbol space (needed for the Figure 7 Jaccard). File terms
+        // are interned first, in crawl record order, then query terms in
+        // trace order.
+        let mut dict = TermDict::new();
+        let file_terms = FileTermPeers::build(records(), &mut dict);
+        let fig3 = TermReplicationAnalysis::from_term_peers(&file_terms);
 
         // --- Figure 4: iTunes annotations ------------------------------
         let songs = AnnotationAnalysis::from_records(
@@ -83,13 +93,12 @@ impl QueryCentricAnalyzer {
         };
 
         // --- Figures 5-7: query-side temporal analysis ------------------
-        // One shared dictionary so query terms and file terms live in the
-        // same symbol space (needed for the Figure 7 Jaccard).
-        let mut dict = TermDict::new();
-        let popular_files =
-            mismatch::popular_file_terms(records(), self.config.popularity, &mut dict);
-
-        let query_records = || queries.queries.iter().map(|q| (q.time, q.text.as_str()));
+        let popular_files = PopularFileTerms::from_term_peers(&file_terms, self.config.popularity);
+        let query_terms = QueryTerms::tokenize(
+            queries.queries.iter().map(|q| (q.time, q.text.as_str())),
+            queries.duration_secs,
+            &mut dict,
+        );
 
         // Figure 5 sweep over evaluation intervals.
         let fig5: Vec<transient::TransientSeries> = self
@@ -97,23 +106,13 @@ impl QueryCentricAnalyzer {
             .fig5_intervals
             .iter()
             .map(|&interval| {
-                let idx = IntervalIndex::build(
-                    query_records(),
-                    queries.duration_secs,
-                    interval,
-                    &mut dict,
-                );
+                let idx = IntervalIndex::from_terms(&query_terms, interval);
                 transient::detect_transients(&idx, &self.config.transient)
             })
             .collect();
 
         // Headline interval for Figures 6 and 7.
-        let headline_idx = IntervalIndex::build(
-            query_records(),
-            queries.duration_secs,
-            self.config.headline_interval,
-            &mut dict,
-        );
+        let headline_idx = IntervalIndex::from_terms(&query_terms, self.config.headline_interval);
         let fig6 = stability::popular_stability(&headline_idx, self.config.popularity);
         let fig7 =
             mismatch::query_file_mismatch(&headline_idx, &popular_files, self.config.popularity);

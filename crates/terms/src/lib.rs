@@ -6,9 +6,10 @@
 //! characters (Figure 2), and queries match objects when every query term
 //! appears in the object's name (Gnutella AND semantics).
 //!
-//! * [`tokenize`] — the protocol tokenizer (UTF-8 aware, splits on
+//! * [`tokenize`](mod@tokenize) — the protocol tokenizer (UTF-8 aware, splits on
 //!   non-alphanumeric separators, drops extensions-like noise only via the
-//!   configurable minimum length);
+//!   configurable minimum length), streaming ([`for_each_token`]) or
+//!   collecting ([`tokenize()`]);
 //! * [`sanitize`] — the Figure-2 name sanitizer;
 //! * [`dict`] — interned term dictionaries with per-term occurrence and
 //!   peer counts;
@@ -25,4 +26,4 @@ pub mod tokenize;
 pub use dict::TermDict;
 pub use query::{matches_all_terms, Query};
 pub use sanitize::sanitize_name;
-pub use tokenize::{tokenize, tokenize_with, TokenizerConfig};
+pub use tokenize::{for_each_token, for_each_token_with, tokenize, tokenize_with, TokenizerConfig};

@@ -6,6 +6,8 @@
 //! merges e.g. `"Aaron Neville - I Don't Know Much.MP3"` and
 //! `"aaron neville i dont know much.mp3"`.
 
+use crate::tokenize::for_each_content_char;
+
 /// Sanitizes an object name: lower-cases, treats every non-alphanumeric
 /// character as a separator, collapses separator runs to a single space,
 /// and trims. The result is a canonical form for replica matching:
@@ -19,18 +21,17 @@
 pub fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     let mut pending_space = false;
-    for ch in name.chars() {
-        if ch.is_alphanumeric() {
+    for_each_content_char(name, true, |c| match c {
+        Some(c) => {
             if pending_space && !out.is_empty() {
                 out.push(' ');
             }
             pending_space = false;
-            out.extend(ch.to_lowercase());
-        } else {
-            // Whitespace, dashes, dots, apostrophes: all separators.
-            pending_space = true;
+            out.push(c);
         }
-    }
+        // Whitespace, dashes, dots, apostrophes: all separators.
+        None => pending_space = true,
+    });
     out
 }
 

@@ -46,42 +46,121 @@ pub fn tokenize(input: &str) -> Vec<String> {
 /// Tokenizes `input` according to `config`.
 pub fn tokenize_with(input: &str, config: TokenizerConfig) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
-    for ch in input.chars() {
-        if ch.is_alphanumeric() {
-            if config.lowercase {
-                current.extend(ch.to_lowercase());
-            } else {
-                current.push(ch);
-            }
-        } else if !current.is_empty() {
-            push_token(&mut tokens, std::mem::take(&mut current), config);
-        }
-    }
-    if !current.is_empty() {
-        push_token(&mut tokens, current, config);
-    }
+    for_each_token_with(input, config, |t| tokens.push(t.to_owned()));
     tokens
 }
 
-fn push_token(tokens: &mut Vec<String>, token: String, config: TokenizerConfig) {
-    if token.chars().count() < config.min_len {
-        return;
+/// Streams the tokens of `input` (default configuration) to `f`, in
+/// order, without allocating one `String` per token.
+///
+/// ```
+/// use qcp_terms::for_each_token;
+///
+/// let mut seen = Vec::new();
+/// for_each_token("Björk - Jóga.MP3", |t| seen.push(t.len()));
+/// assert_eq!(seen, vec![6, 5, 3]);
+/// ```
+pub fn for_each_token(input: &str, f: impl FnMut(&str)) {
+    for_each_token_with(input, TokenizerConfig::default(), f)
+}
+
+/// Streams the tokens of `input` under `config` to `f`: every token
+/// [`tokenize_with`] would return, in the same order. One buffer is
+/// reused for every token.
+pub fn for_each_token_with(input: &str, config: TokenizerConfig, mut f: impl FnMut(&str)) {
+    let mut token = TokenBuf::default();
+    for_each_content_char(input, config.lowercase, |c| match c {
+        Some(c) => token.push(c),
+        None => token.flush(config, &mut f),
+    });
+    token.flush(config, &mut f);
+}
+
+/// The token being built, with its char count and whether any char is
+/// not numeric, kept as it grows so a flush need not rescan it.
+#[derive(Default)]
+struct TokenBuf {
+    text: String,
+    chars: usize,
+    has_non_numeric: bool,
+}
+
+impl TokenBuf {
+    fn push(&mut self, c: char) {
+        self.text.push(c);
+        self.chars += 1;
+        self.has_non_numeric |= !c.is_numeric();
     }
-    if config.drop_numeric && token.chars().all(|c| c.is_numeric()) {
-        return;
+
+    /// Hands a non-empty token that passes `config`'s filters to `f`,
+    /// then starts the next token.
+    fn flush(&mut self, config: TokenizerConfig, f: &mut impl FnMut(&str)) {
+        if self.text.is_empty() {
+            return;
+        }
+        if self.chars >= config.min_len && (self.has_non_numeric || !config.drop_numeric) {
+            f(&self.text);
+        }
+        self.text.clear();
+        self.chars = 0;
+        self.has_non_numeric = false;
     }
-    tokens.push(token);
+}
+
+/// Feeds `input` to `emit` one char at a time under the protocol's
+/// character rule: `Some(c)` for each char of token content (lower-cased
+/// when `lowercase`, so one input char may emit several) and `None` for
+/// each separator. ASCII bytes take a fast path that skips UTF-8
+/// decoding; for them `is_alphanumeric` and `to_lowercase` agree with
+/// their ASCII forms, and every other char takes the Unicode predicates.
+pub(crate) fn for_each_content_char(
+    input: &str,
+    lowercase: bool,
+    mut emit: impl FnMut(Option<char>),
+) {
+    let bytes = input.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        if b.is_ascii() {
+            i += 1;
+            if !b.is_ascii_alphanumeric() {
+                emit(None);
+            } else if lowercase {
+                emit(Some(char::from(b.to_ascii_lowercase())));
+            } else {
+                emit(Some(char::from(b)));
+            }
+            continue;
+        }
+        // A non-ASCII byte starts a multi-byte char: `i` is always on a
+        // char boundary, so the decode cannot fail.
+        let Some(ch) = input[i..].chars().next() else {
+            break;
+        };
+        i += ch.len_utf8();
+        if !ch.is_alphanumeric() {
+            emit(None);
+        } else if lowercase {
+            ch.to_lowercase().for_each(|c| emit(Some(c)));
+        } else {
+            emit(Some(ch));
+        }
+    }
 }
 
 /// Tokenizes and deduplicates, preserving first-occurrence order — the term
 /// *set* of a name, which is what annotation-level analysis counts.
 pub fn token_set(input: &str) -> Vec<String> {
     let mut seen = qcp_util::FxHashSet::default();
-    tokenize(input)
-        .into_iter()
-        .filter(|t| seen.insert(t.clone()))
-        .collect()
+    let mut tokens = Vec::new();
+    for_each_token(input, |t| {
+        if !seen.contains(t) {
+            seen.insert(t.to_owned());
+            tokens.push(t.to_owned());
+        }
+    });
+    tokens
 }
 
 #[cfg(test)]

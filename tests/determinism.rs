@@ -1188,3 +1188,126 @@ fn overload_unlimited_baseline_is_bitwise_latency_cell_zero() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Figures 1-7: the measurement pipeline is a pure function of its seed,
+// and its outputs are pinned to a golden capture. Each figure's outputs
+// are flattened to u64s (f64 via `to_bits`, symbols by index) and hashed
+// per part, so a drift names the part that moved. Figure 5's flagged
+// symbols pin the shared dictionary's numbering: file terms first, in
+// crawl record order, then query terms in trace order. The constants
+// were captured from the pipeline that re-tokenized the query trace per
+// interval; tokenizing each trace once must reproduce them exactly.
+// ---------------------------------------------------------------------
+
+use qcp2p::analysis::TransientSeries;
+use qcp2p::zipf::TailFit;
+use qcp2p::{AnalyzerConfig, Findings, QueryCentricAnalyzer};
+
+/// Golden `(part, flattened length, FNV-1a hash)` for test scale, seed
+/// 2024.
+const GOLDEN_FINDINGS: &[(&str, usize, u64)] = &[
+    ("fig1", 9395, 0xe3b166219a9cc9ac),
+    ("fig2", 8640, 0x4d37828d036fa7d2),
+    ("fig3", 9001, 0x755223ff0442ff9d),
+    ("fig4.song", 1810, 0x1465a2aaf4df935e),
+    ("fig4.genre", 154, 0x1771fbc40c16537f),
+    ("fig4.album", 200, 0xf7fed8d3b5ed1443),
+    ("fig4.artist", 182, 0x8748b74e22902a77),
+    ("fig4.totals", 2, 0x94c8880752dce453),
+    ("fig5.1800s", 116, 0x0abcecfbb606b0c4),
+    ("fig5.3600s", 90, 0xb7b857c1dddd9f8c),
+    ("fig6", 24, 0x48282128cd72ee1c),
+    ("fig7.all_vs_popular", 25, 0xa1ec36fcfc06403a),
+    ("fig7.popular_vs_popular", 25, 0xb1c1931d42bf2d27),
+];
+
+fn fnv(words: &[u64]) -> u64 {
+    words.iter().fold(0xcbf29ce484222325u64, |h, &w| {
+        (h ^ w).wrapping_mul(0x100000001b3)
+    })
+}
+
+fn counts_words(counts_desc: &[u32], tail: &TailFit) -> Vec<u64> {
+    let mut w: Vec<u64> = counts_desc.iter().map(|&c| u64::from(c)).collect();
+    w.extend([
+        tail.exponent.to_bits(),
+        tail.goodness.to_bits(),
+        tail.n_used as u64,
+    ]);
+    w
+}
+
+fn transient_words(s: &TransientSeries) -> Vec<u64> {
+    let mut w = vec![u64::from(s.interval_secs), s.first_evaluated as u64];
+    w.extend(s.counts.iter().map(|&c| u64::from(c)));
+    for flagged in &s.flagged {
+        w.push(flagged.len() as u64);
+        w.extend(flagged.iter().map(|sym| sym.index() as u64));
+    }
+    w
+}
+
+fn findings_parts(f: &Findings) -> Vec<(String, Vec<u64>)> {
+    let mut parts = Vec::new();
+    for (name, a) in [("fig1", &f.fig1), ("fig2", &f.fig2)] {
+        let mut w = vec![
+            u64::from(a.num_peers),
+            a.total_copies as u64,
+            a.unique_objects as u64,
+        ];
+        w.extend(counts_words(&a.counts_desc, &a.tail));
+        parts.push((name.to_string(), w));
+    }
+    let mut w = vec![f.fig3.unique_terms as u64];
+    w.extend(counts_words(&f.fig3.counts_desc, &f.fig3.tail));
+    parts.push(("fig3".to_string(), w));
+    let fig4 = &f.fig4;
+    for a in [&fig4.songs, &fig4.genres, &fig4.albums, &fig4.artists] {
+        let mut w = vec![
+            a.total_records as u64,
+            a.missing_records as u64,
+            a.unique_values as u64,
+        ];
+        w.extend(counts_words(&a.counts_desc, &a.tail));
+        parts.push((format!("fig4.{}", a.field), w));
+    }
+    parts.push((
+        "fig4.totals".to_string(),
+        vec![fig4.total_songs as u64, fig4.num_clients as u64],
+    ));
+    for s in &f.fig5 {
+        parts.push((format!("fig5.{}s", s.interval_secs), transient_words(s)));
+    }
+    let mut w = vec![u64::from(f.fig6.interval_secs)];
+    w.extend(f.fig6.jaccards.iter().map(|j| j.to_bits()));
+    parts.push(("fig6".to_string(), w));
+    let fig7 = &f.fig7;
+    let mut w = vec![u64::from(fig7.interval_secs)];
+    w.extend(fig7.all_terms_vs_popular_files.iter().map(|j| j.to_bits()));
+    parts.push(("fig7.all_vs_popular".to_string(), w));
+    let mut w = vec![u64::from(fig7.interval_secs)];
+    w.extend(fig7.popular_vs_popular_files.iter().map(|j| j.to_bits()));
+    parts.push(("fig7.popular_vs_popular".to_string(), w));
+    parts
+}
+
+#[test]
+fn figures_one_to_seven_match_golden_capture() {
+    let f = QueryCentricAnalyzer::new(AnalyzerConfig::test_scale().with_seed(2024)).run();
+    let parts = findings_parts(&f);
+    let got: Vec<(&str, usize, u64)> = parts
+        .iter()
+        .map(|(name, words)| (name.as_str(), words.len(), fnv(words)))
+        .collect();
+    assert_eq!(
+        got, GOLDEN_FINDINGS,
+        "Figures 1-7 drifted from the golden capture"
+    );
+    // Guards: the pin must cover real, non-trivial outputs.
+    assert!(f
+        .fig5
+        .iter()
+        .any(|s| s.flagged.iter().any(|v| !v.is_empty())));
+    assert!(f.fig7.popular_vs_popular_files.iter().any(|&j| j > 0.0));
+}
