@@ -11,7 +11,8 @@
 //! costs of the whole iterative-deepening schedule can be read off **one**
 //! BFS: [`FloodEngine::flood_census_pruned`] runs a single flood that
 //! stops at the first level containing a holder, and every ring's
-//! `(reached, messages)` is a prefix snapshot ([`CensusOutcome::at`]).
+//! `(reached, messages)` is a prefix snapshot
+//! ([`CensusOutcome::at`](crate::flood::CensusOutcome::at)).
 //! The fault-free search below does exactly that — one BFS instead of
 //! `r*` overlapping ones, with bitwise-identical outcomes (pinned by the
 //! `matches_naive_*` tests against the naive per-ring oracle).
@@ -22,10 +23,10 @@
 //! asymmetry is deliberate — iterative deepening doubles as coarse retry
 //! under loss — so the faulty path keeps the per-ring loop.
 
-use crate::flood::{CensusOutcome, FloodEngine, FloodOutcome, FloodSpec};
+use crate::flood::{FloodEngine, FloodFaults, FloodOutcome, FloodSpec};
 use crate::graph::Graph;
-use qcp_faults::{FaultPlan, FaultStats};
-use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
+use qcp_faults::FaultStats;
+use qcp_obs::{Counter, Event, Kernel, Recorder};
 use qcp_util::hash::mix64;
 
 /// Result of an expanding-ring search.
@@ -43,16 +44,19 @@ pub struct ExpandingOutcome {
     pub rings: u32,
 }
 
-/// Folds the iterative-deepening schedule over a hop census: ring `t`
-/// costs `census.at(t).messages` (a full standalone TTL-`t` flood), the
-/// schedule stops at the first successful ring or once a ring covers the
-/// whole graph.
-fn schedule_over_census(census: &CensusOutcome, max_ttl: u32, num_nodes: u32) -> ExpandingOutcome {
+/// Folds the iterative-deepening schedule over per-ring floods: `ring(t)`
+/// is a full standalone TTL-`t` flood; the schedule stops at the first
+/// successful ring or once a ring covers the whole graph.
+fn schedule(
+    max_ttl: u32,
+    num_nodes: u32,
+    mut ring: impl FnMut(u32) -> FloodOutcome,
+) -> ExpandingOutcome {
     let mut total_messages = 0u64;
     let mut rings = 0u32;
     let mut last: Option<FloodOutcome> = None;
     for ttl in 1..=max_ttl {
-        let out = census.at(ttl);
+        let out = ring(ttl);
         total_messages += out.messages;
         rings += 1;
         let found = out.found;
@@ -83,53 +87,58 @@ fn schedule_over_census(census: &CensusOutcome, max_ttl: u32, num_nodes: u32) ->
 
 /// Runs the expanding-ring search.
 ///
-/// Internally performs **one** pruned hop-census BFS and reconstructs the
-/// per-ring cost schedule from its prefix snapshots — equivalent to (and
-/// pinned bitwise against) flooding each ring from scratch, at roughly
-/// `1/r*` of the cost for a hit on ring `r*`.
-pub fn expanding_ring_search(
+/// * Fault-free (`faults == None`): **one** pruned hop-census BFS, with
+///   the per-ring cost schedule reconstructed from its prefix snapshots
+///   — equivalent to (and pinned bitwise against) flooding each ring
+///   from scratch, at roughly `1/r*` of the cost for a hit on ring
+///   `r*`. The census records under [`Kernel::Flood`].
+/// * Faulty: each ring floods through [`FloodEngine::flood_faulty`].
+///   Rings are independent transmissions, so each ring gets its own
+///   drop nonce (`mix64(nonce ^ ttl)`): a message lost at TTL 2 may
+///   succeed on the retry implicit in the TTL-3 ring — iterative
+///   deepening doubles as coarse retry under loss. Because the per-ring
+///   nonces differ, rings are *not* prefixes of one another and the
+///   census shortcut does not apply (see the module docs). The rings
+///   record nothing under [`Kernel::Flood`]; their summed
+///   [`FaultStats`] record under [`Kernel::ExpandingRing`].
+///
+/// The ring schedule itself records under [`Kernel::ExpandingRing`].
+/// The recorder is write-only, so outcomes are recorder-independent.
+#[allow(clippy::too_many_arguments)] // the search's inputs + fault context + recorder
+pub fn expanding_ring_search<R: Recorder>(
     engine: &mut FloodEngine,
     graph: &Graph,
     source: u32,
     max_ttl: u32,
     holders: &[u32],
     forwarders: Option<&[bool]>,
-) -> ExpandingOutcome {
-    expanding_ring_search_rec(
-        engine,
-        graph,
-        source,
-        max_ttl,
-        holders,
-        forwarders,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`expanding_ring_search`] with an instrumentation [`Recorder`]: the
-/// underlying pruned census records under [`Kernel::Flood`]; the ring
-/// schedule itself records under [`Kernel::ExpandingRing`]. Write-only,
-/// so outcomes are recorder-independent.
-#[allow(clippy::too_many_arguments)] // mirrors the plain search + recorder
-pub fn expanding_ring_search_rec<R: Recorder>(
-    engine: &mut FloodEngine,
-    graph: &Graph,
-    source: u32,
-    max_ttl: u32,
-    holders: &[u32],
-    forwarders: Option<&[bool]>,
+    faults: Option<FloodFaults<'_>>,
     rec: &mut R,
-) -> ExpandingOutcome {
+) -> (ExpandingOutcome, FaultStats) {
     rec.rec_span(Kernel::ExpandingRing);
-    let spec = FloodSpec::new(max_ttl).pruned();
-    let (census, _) = engine.run(graph, source, holders, forwarders, &spec, rec);
-    let out = schedule_over_census(&census, max_ttl, graph.num_nodes() as u32);
-    record_schedule(rec, &out);
-    out
-}
-
-/// Records one completed ring schedule under [`Kernel::ExpandingRing`].
-fn record_schedule<R: Recorder>(rec: &mut R, out: &ExpandingOutcome) {
+    let num_nodes = graph.num_nodes() as u32;
+    let mut stats = FaultStats::default();
+    let out = match faults {
+        None => {
+            let spec = FloodSpec::new(max_ttl).pruned();
+            let (census, _) = engine.run(graph, source, holders, forwarders, &spec, rec);
+            schedule(max_ttl, num_nodes, |ttl| census.at(ttl))
+        }
+        Some(FloodFaults { plan, time, nonce }) => schedule(max_ttl, num_nodes, |ttl| {
+            let (out, ring_stats) = engine.flood_faulty(
+                graph,
+                source,
+                ttl,
+                holders,
+                forwarders,
+                plan,
+                time,
+                mix64(nonce ^ ttl as u64),
+            );
+            stats.absorb(&ring_stats);
+            out
+        }),
+    };
     rec.rec_count(Kernel::ExpandingRing, Counter::Messages, out.messages);
     rec.rec_count(Kernel::ExpandingRing, Counter::Rings, out.rings as u64);
     if let Some(ttl) = out.found_at_ttl {
@@ -139,131 +148,66 @@ fn record_schedule<R: Recorder>(rec: &mut R, out: &ExpandingOutcome) {
         Kernel::ExpandingRing,
         if out.found { Event::Hit } else { Event::Miss },
     );
-}
-
-/// Fault-aware expanding-ring search: each ring floods through
-/// [`FloodEngine::flood_faulty`]. Rings are independent transmissions, so
-/// each ring gets its own drop nonce (`mix64(nonce ^ ttl)`): a message
-/// lost at TTL 2 may succeed on the retry implicit in the TTL-3 ring —
-/// iterative deepening doubles as coarse retry under loss. Because the
-/// per-ring nonces differ, rings are *not* prefixes of one another and
-/// the census shortcut does not apply (see the module docs).
-#[allow(clippy::too_many_arguments)] // mirrors the plain search + fault context
-pub fn expanding_ring_search_faulty(
-    engine: &mut FloodEngine,
-    graph: &Graph,
-    source: u32,
-    max_ttl: u32,
-    holders: &[u32],
-    forwarders: Option<&[bool]>,
-    plan: &FaultPlan,
-    time: u64,
-    nonce: u64,
-) -> (ExpandingOutcome, FaultStats) {
-    expanding_ring_search_faulty_rec(
-        engine,
-        graph,
-        source,
-        max_ttl,
-        holders,
-        forwarders,
-        plan,
-        time,
-        nonce,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`expanding_ring_search_faulty`] with an instrumentation
-/// [`Recorder`]; write-only, so outcomes and stats are
-/// recorder-independent.
-#[allow(clippy::too_many_arguments)] // mirrors the faulty search + recorder
-pub fn expanding_ring_search_faulty_rec<R: Recorder>(
-    engine: &mut FloodEngine,
-    graph: &Graph,
-    source: u32,
-    max_ttl: u32,
-    holders: &[u32],
-    forwarders: Option<&[bool]>,
-    plan: &FaultPlan,
-    time: u64,
-    nonce: u64,
-    rec: &mut R,
-) -> (ExpandingOutcome, FaultStats) {
-    rec.rec_span(Kernel::ExpandingRing);
-    let (out, stats) = expanding_ring_faulty_impl(
-        engine, graph, source, max_ttl, holders, forwarders, plan, time, nonce,
-    );
-    record_schedule(rec, &out);
-    rec.rec_faults(Kernel::ExpandingRing, &stats);
-    (out, stats)
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors the plain search + fault context
-fn expanding_ring_faulty_impl(
-    engine: &mut FloodEngine,
-    graph: &Graph,
-    source: u32,
-    max_ttl: u32,
-    holders: &[u32],
-    forwarders: Option<&[bool]>,
-    plan: &FaultPlan,
-    time: u64,
-    nonce: u64,
-) -> (ExpandingOutcome, FaultStats) {
-    let mut total_messages = 0u64;
-    let mut rings = 0u32;
-    let mut stats = FaultStats::default();
-    let mut last: Option<FloodOutcome> = None;
-    for ttl in 1..=max_ttl {
-        let (out, ring_stats) = engine.flood_faulty(
-            graph,
-            source,
-            ttl,
-            holders,
-            forwarders,
-            plan,
-            time,
-            mix64(nonce ^ ttl as u64),
-        );
-        stats.absorb(&ring_stats);
-        total_messages += out.messages;
-        rings += 1;
-        let found = out.found;
-        let reached = out.reached;
-        last = Some(out);
-        if found {
-            return (
-                ExpandingOutcome {
-                    found: true,
-                    found_at_ttl: Some(ttl),
-                    messages: total_messages,
-                    final_reach: reached,
-                    rings,
-                },
-                stats,
-            );
-        }
-        // If the ring covers the whole network, deeper rings are futile.
-        if ttl > 1 && reached == graph.num_nodes() as u32 {
-            break;
-        }
+    if faults.is_some() {
+        rec.rec_faults(Kernel::ExpandingRing, &stats);
     }
-    (
-        ExpandingOutcome {
-            found: false,
-            found_at_ttl: None,
-            messages: total_messages,
-            final_reach: last.map(|o| o.reached).unwrap_or(1),
-            rings,
-        },
-        stats,
-    )
+    (out, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcp_faults::FaultPlan;
+    use qcp_obs::NoopRecorder;
+
+    /// A fault-free, unrecorded search.
+    fn ring(
+        engine: &mut FloodEngine,
+        graph: &Graph,
+        source: u32,
+        max_ttl: u32,
+        holders: &[u32],
+        forwarders: Option<&[bool]>,
+    ) -> ExpandingOutcome {
+        let (out, stats) = expanding_ring_search(
+            engine,
+            graph,
+            source,
+            max_ttl,
+            holders,
+            forwarders,
+            None,
+            &mut NoopRecorder,
+        );
+        assert_eq!(stats, FaultStats::default());
+        out
+    }
+
+    /// A search under `plan`, unrecorded.
+    #[allow(clippy::too_many_arguments)] // the search's inputs + fault context
+    fn faulty_ring(
+        engine: &mut FloodEngine,
+        graph: &Graph,
+        source: u32,
+        max_ttl: u32,
+        holders: &[u32],
+        forwarders: Option<&[bool]>,
+        plan: &FaultPlan,
+        time: u64,
+        nonce: u64,
+    ) -> (ExpandingOutcome, FaultStats) {
+        let faults = Some(FloodFaults { plan, time, nonce });
+        expanding_ring_search(
+            engine,
+            graph,
+            source,
+            max_ttl,
+            holders,
+            forwarders,
+            faults,
+            &mut NoopRecorder,
+        )
+    }
 
     fn path(n: usize) -> Graph {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -315,7 +259,7 @@ mod tests {
     fn stops_at_first_successful_ring() {
         let g = path(10);
         let mut e = FloodEngine::new(10);
-        let out = expanding_ring_search(&mut e, &g, 0, 9, &[3], None);
+        let out = ring(&mut e, &g, 0, 9, &[3], None);
         assert!(out.found);
         assert_eq!(out.found_at_ttl, Some(3));
         assert_eq!(out.rings, 3);
@@ -325,8 +269,8 @@ mod tests {
     fn nearby_object_is_cheap_far_object_is_expensive() {
         let g = path(20);
         let mut e = FloodEngine::new(20);
-        let near = expanding_ring_search(&mut e, &g, 0, 19, &[1], None);
-        let far = expanding_ring_search(&mut e, &g, 0, 19, &[15], None);
+        let near = ring(&mut e, &g, 0, 19, &[1], None);
+        let far = ring(&mut e, &g, 0, 19, &[15], None);
         assert!(near.found && far.found);
         assert!(near.messages < far.messages / 4);
     }
@@ -335,7 +279,7 @@ mod tests {
     fn miss_reports_total_cost() {
         let g = path(5);
         let mut e = FloodEngine::new(5);
-        let out = expanding_ring_search(&mut e, &g, 0, 2, &[4], None);
+        let out = ring(&mut e, &g, 0, 2, &[4], None);
         assert!(!out.found);
         assert!(out.messages > 0);
         assert_eq!(out.found_at_ttl, None);
@@ -361,7 +305,7 @@ mod tests {
                 (2, vec![399], Some(&masked)),
             ] {
                 let fwd: Option<&[bool]> = fwd.map(|m: &Vec<bool>| m.as_slice());
-                let fast = expanding_ring_search(&mut e, &g, src, 9, &holders, fwd);
+                let fast = ring(&mut e, &g, src, 9, &holders, fwd);
                 let slow = naive_expanding_ring(&mut e, &g, src, 9, &holders, fwd);
                 assert_eq!(fast, slow, "seed {seed} src {src}");
             }
@@ -374,9 +318,8 @@ mod tests {
         let plan = FaultPlan::none(300);
         let mut e = FloodEngine::new(300);
         for nonce in 0..5u64 {
-            let plain = expanding_ring_search(&mut e, &g, 7, 6, &[200], None);
-            let (faulty, stats) =
-                expanding_ring_search_faulty(&mut e, &g, 7, 6, &[200], None, &plan, 0, nonce);
+            let plain = ring(&mut e, &g, 7, 6, &[200], None);
+            let (faulty, stats) = faulty_ring(&mut e, &g, 7, 6, &[200], None, &plan, 0, nonce);
             assert_eq!(plain, faulty);
             assert_eq!(stats, FaultStats::default());
         }
@@ -395,7 +338,7 @@ mod tests {
             },
         );
         let mut e = FloodEngine::new(300);
-        let (out, stats) = expanding_ring_search_faulty(&mut e, &g, 0, 5, &[], None, &plan, 0, 9);
+        let (out, stats) = faulty_ring(&mut e, &g, 0, 5, &[], None, &plan, 0, 9);
         assert!(!out.found);
         assert!(stats.dropped > 0, "50% loss over 5 rings must drop");
         assert!(stats.wasted() <= out.messages);
@@ -407,7 +350,7 @@ mod tests {
         // The hop-0 check happens inside the first ring.
         let g = path(5);
         let mut e = FloodEngine::new(5);
-        let out = expanding_ring_search(&mut e, &g, 2, 4, &[2], None);
+        let out = ring(&mut e, &g, 2, 4, &[2], None);
         assert!(out.found);
         assert_eq!(out.found_at_ttl, Some(1));
         assert_eq!(out.rings, 1);
@@ -417,7 +360,7 @@ mod tests {
     fn zero_max_ttl_is_a_no_op() {
         let g = path(5);
         let mut e = FloodEngine::new(5);
-        let out = expanding_ring_search(&mut e, &g, 0, 0, &[4], None);
+        let out = ring(&mut e, &g, 0, 0, &[4], None);
         assert_eq!(
             out,
             ExpandingOutcome {

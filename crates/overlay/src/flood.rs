@@ -147,8 +147,9 @@ impl CensusOutcome {
     }
 }
 
-/// Result of one flooded query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Result of one flooded query. The default is a flood that sent
+/// nothing (a dead source).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FloodOutcome {
     /// Whether any reached peer held the target object.
     pub found: bool,
@@ -812,15 +813,7 @@ impl FloodEngine {
     ) -> (FloodOutcome, FaultStats) {
         let mut stats = FaultStats::default();
         if !plan.alive_at(source, time) {
-            return (
-                FloodOutcome {
-                    found: false,
-                    found_at_hop: None,
-                    reached: 0,
-                    messages: 0,
-                },
-                stats,
-            );
+            return (FloodOutcome::default(), stats);
         }
         let faults = Some(FloodFaults { plan, time, nonce });
         let (frontier, next) = (&mut self.frontier, &mut self.next);

@@ -15,11 +15,11 @@
 //!   reusable engine (epoch-stamped visit marks, zero per-query allocation
 //!   in the hot path);
 //! * [`walk`] — k-walker random walks;
-//! * [`event`] — event-driven flood/walk on the `qcp-vtime` calendar:
-//!   per-link latencies, delivery-time fault checks, deadline cutoffs;
-//! * [`overload`] — capacity-aware event kernels: bounded per-node
-//!   queues, per-node service rates on the Gia ladder, and load
-//!   shedding (the `qcp-faults` `CapacityPlan` overload model);
+//! * [`overload`] — the event-driven flood/walk engine on the
+//!   `qcp-vtime` calendar: per-link latencies, delivery-time fault
+//!   checks, deadline cutoffs, and the `qcp-faults` `CapacityPlan`
+//!   overload model (bounded per-node queues, per-node service rates on
+//!   the Gia ladder, load shedding; unlimited plans serve on arrival);
 //! * [`expanding`] — expanding-ring (iterative deepening) search;
 //! * [`replicate`] — pluggable replication schemes (owner-only, path,
 //!   random-walk, square-root/proportional allocation, Gia one-hop):
@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod churn;
-pub mod event;
 pub mod expanding;
 pub mod flood;
 pub mod graph;
@@ -48,17 +47,14 @@ pub mod topology;
 pub mod walk;
 
 pub use churn::{fail_highest_degree, fail_random, ChurnedOverlay};
-pub use event::{
-    event_flood, event_flood_rec, event_walk, event_walk_rec, EventFloodOutcome, EventWalkOutcome,
-};
-pub use expanding::{expanding_ring_search, expanding_ring_search_faulty, ExpandingOutcome};
+pub use expanding::{expanding_ring_search, ExpandingOutcome};
 pub use flood::{
     CensusBuf, CensusOutcome, FloodEngine, FloodFaults, FloodOutcome, FloodSpec, LaneCensus,
     VisitedRepr, BITSET_THRESHOLD, LANES,
 };
 pub use graph::Graph;
 pub use metrics::{graph_metrics, GraphMetrics};
-pub use overload::{OverloadEngine, OverloadOutcome};
+pub use overload::{EventFloodOutcome, EventWalkOutcome, OverloadEngine, OverloadOutcome};
 pub use placement::{Placement, PlacementBuilder, PlacementModel};
 pub use repair::{
     check_repair_invariants, repair_round, repair_round_rec, Attachment, Maintainer,
@@ -71,4 +67,4 @@ pub use sim::{
     TargetModel,
 };
 pub use topology::TopologyConfig;
-pub use walk::{random_walk_search, random_walk_search_faulty, WalkOutcome};
+pub use walk::{random_walk_search, WalkOutcome};

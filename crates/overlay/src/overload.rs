@@ -1,18 +1,23 @@
-//! Capacity-aware event kernels: bounded per-node queues, service
-//! rates, and load shedding over the [`event`](crate::event) machinery.
+//! Event-driven flood and walk kernels on the virtual-time calendar,
+//! with per-node capacity: bounded queues, service rates, and load
+//! shedding.
 //!
-//! The PR 7 event kernels deliver every arriving message instantly —
-//! nodes have infinite capacity, so offered load is invisible. The
-//! [`OverloadEngine`] here re-expresses the same flood and walk on a
-//! queueing model governed by a [`CapacityPlan`]:
+//! The synchronous kernels in [`flood`](crate::flood) and
+//! [`walk`](crate::walk) advance the whole network one hop at a time —
+//! correct for message accounting, blind to *when* messages arrive. The
+//! [`OverloadEngine`] here re-expresses the same searches on the
+//! [`Calendar`] from `qcp-vtime`: every transmission is an arrival event
+//! scheduled at `now + plan.latency(u, v)`, and fault checks (churn
+//! liveness, Bernoulli drops) run when the message *arrives*, not when
+//! it is sent. A [`CapacityPlan`] decides what happens next:
 //!
-//! * an **arriving** message (having already survived the fault plan's
-//!   liveness and drop checks, exactly as in the PR 7 kernels) joins
-//!   its target node's bounded FIFO queue;
-//! * each node **serves** one queued message every
-//!   [`CapacityPlan::service_interval`] ticks — marking, holder checks,
-//!   walker moves, and forwarding all happen at *service* time, so a
-//!   congested node stretches the query's timeline;
+//! * under [`CapacityPlan::unlimited`] a message that survives the fault
+//!   checks is **served on arrival** — nodes have infinite capacity, so
+//!   offered load is invisible;
+//! * under a limited plan it joins its target node's bounded FIFO
+//!   queue, and each node **serves** one queued message every
+//!   [`CapacityPlan::service_interval`] ticks, so a congested node
+//!   stretches the query's timeline;
 //! * a **full queue** invokes the plan's [`ShedPolicy`]; shed messages
 //!   are gone (walks treat a shed step like a drop: the walker strands
 //!   for that step and re-picks from where it stands);
@@ -23,24 +28,52 @@
 //!   entries consume service slots but are invisible to the accounting
 //!   identity below — they model *other* queries' load, not this one's.
 //!
-//! # Accounting identity
+//! Both branches run one serve step — flood: mark the node, check
+//! holders, forward; walk: move the walker, check holders, resume it —
+//! so there is one event loop per kernel, and an unlimited run is the
+//! limited loop with every queue wait cut to zero.
 //!
-//! Counting only this query's (real) messages:
+//! # Accounting contract
 //!
-//! ```text
-//! messages == served + dead_targets + dropped + shed + in_flight
-//! ```
+//! * **Messages are counted at send time.** The running counter doubles
+//!   as the message index in the plan's drop stream (exactly as the
+//!   synchronous kernels use it), and a send scheduled before a deadline
+//!   cutoff is paid for even if the cutoff lands before its delivery.
+//! * **Churn is frozen within a query.** `plan.alive_at(node, time)`
+//!   keys on the workload tick `time`, which does not advance during a
+//!   single query; checking liveness at delivery therefore matches the
+//!   synchronous kernels' send-time check node for node.
+//! * **`FaultStats::ticks` carries the completion time** (the last
+//!   event processed, or the cutoff when truncated) — the virtual
+//!   elapsed time of the query.
+//! * **The shedding identity.** Counting only this query's (real)
+//!   messages under a limited plan:
 //!
-//! where `in_flight` is the number of real messages still in the
-//! calendar or queued when a cutoff truncates the run (0 when the run
-//! drains). Pinned by proptests in `tests/overload.rs`.
+//!   ```text
+//!   messages == served + dead_targets + dropped + shed + in_flight
+//!   ```
 //!
-//! # Bitwise equivalence when unlimited
+//!   where `in_flight` is the number of real messages still in the
+//!   calendar or queued when a cutoff truncates the run (0 when the run
+//!   drains). Pinned by proptests in `tests/overload.rs`.
+//! * **Unlimited runs have no overload footprint.** Their
+//!   [`OverloadOutcome`] is all zeros (`in_flight` included, even when
+//!   a cutoff truncates the run), and they record no queue lengths or
+//!   overload counters.
 //!
-//! Under [`CapacityPlan::unlimited`] both entry points delegate to the
-//! PR 7 kernels verbatim — [`event_flood_rec`] / [`event_walk_rec`] —
-//! so an unlimited run is bitwise identical to a capacity-free run *by
-//! construction*, and the overload accounting is all zeros.
+//! # Bitwise equivalence with the hop census
+//!
+//! Under a unit-latency, fault-free plan and unlimited capacity every
+//! send scheduled at virtual time `t` delivers at `t + 1`, so deliveries
+//! drain in exact BFS level order and a node is first marked at its hop
+//! distance. The per-delivery tie-break order *within* a level differs
+//! from the census's frontier scan order, but every aggregate the
+//! outcome exposes — `reached`, `messages`, the first-hit hop — is
+//! level-cumulative and therefore order-independent inside a level.
+//! [`OverloadEngine::flood`] with `FaultPlan::none`, an unlimited plan
+//! and `max_ttl = t` is thus bit-identical to `flood_census(...).at(t)`
+//! (pinned by the proptests in `tests/event_flood.rs` and at 40k-node
+//! scale in `tests/determinism.rs`).
 //!
 //! # Determinism
 //!
@@ -51,10 +84,9 @@
 //! ordered chain (a walker has at most one step outstanding — in the
 //! calendar *or* in a queue).
 
-use crate::event::{event_flood_rec, event_walk_rec, EventFloodOutcome, EventWalkOutcome};
 use crate::flood::FloodOutcome;
 use crate::graph::Graph;
-use crate::walk::WalkOutcome;
+use crate::walk::{pick_next, WalkOutcome};
 use qcp_faults::capacity::ShedPolicy;
 use qcp_faults::{CapacityPlan, FaultPlan, FaultStats};
 use qcp_obs::{Counter, Event, Kernel, Recorder};
@@ -65,6 +97,45 @@ use std::collections::VecDeque;
 /// Tie stream tag for per-node service events (distinct from message
 /// ties, which hash the message index).
 pub const SERVE_TAG: u64 = 0x5e1f_5e2e_7a61_ca90;
+
+/// Outcome of one event-driven flood: the synchronous [`FloodOutcome`]
+/// quadruple plus the virtual-time facts the calendar adds. The default
+/// is a flood that sent nothing (a dead source).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EventFloodOutcome {
+    /// The flood quadruple (`found`, `found_at_hop`, `reached`,
+    /// `messages`) — bit-compatible with the synchronous kernels.
+    pub flood: FloodOutcome,
+    /// Virtual time at which the first holder was reached, if any.
+    pub first_hit_time: Option<u64>,
+    /// Virtual time at which the flood drained (or the cutoff, when
+    /// truncated).
+    pub completion_time: u64,
+    /// Whether a `cutoff` stopped delivery before the calendar drained.
+    pub truncated: bool,
+    /// Distinct holders marked by the flood (the hybrid rare-query rule's
+    /// hit count — `hits_in_last_flood` for the synchronous engine).
+    pub holders_reached: u32,
+}
+
+/// Outcome of one event-driven walk: the synchronous [`WalkOutcome`]
+/// shape plus virtual-time facts. Unlike the synchronous kernel (which
+/// reports the *minimum* hit step across walkers), `found_at_step` here
+/// is the step of the *temporally first* hit — the honest answer when
+/// walkers race over real latencies. The default is a walk that sent
+/// nothing (a dead source).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EventWalkOutcome {
+    /// The walk quadruple (`found`, `found_at_step`, `messages`,
+    /// `visited`).
+    pub walk: WalkOutcome,
+    /// Virtual time of the first hit, if any.
+    pub first_hit_time: Option<u64>,
+    /// Virtual time at which every walker finished (or the cutoff).
+    pub completion_time: u64,
+    /// Whether a `cutoff` stopped the walkers early.
+    pub truncated: bool,
+}
 
 /// Overload accounting for one kernel run. All zeros when the plan is
 /// unlimited (or nothing queued).
@@ -123,19 +194,22 @@ impl QEntry {
     }
 }
 
-/// Calendar events of the capacity-aware kernels. Ordered fields are
-/// never consulted by the calendar (the `(time, tie, seq)` key is a
-/// strict total order); the derive only satisfies the `E: Ord` bound.
+/// Calendar events of the event kernels. Ordered fields are never
+/// consulted by the calendar (the `(time, tie, seq)` key is a strict
+/// total order); the derive only satisfies the `E: Ord` bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
-    /// A flood message arriving at `to` (mirrors the PR 7 `Deliver`).
+    /// A flood message arriving at `to`; `hop` is the sender's hop + 1
+    /// and `msg` its 1-based index in the plan's drop stream.
     Flood {
         from: u32,
         to: u32,
         hop: u32,
         msg: u64,
     },
-    /// A walker step arriving at `to` (mirrors the PR 7 `Step`).
+    /// A walker step arriving at `to`. The `(walker, step)` pair is the
+    /// event identity: a walker has at most one pending event, and
+    /// stranded steps still consume a step number.
     Walk {
         walker: u32,
         step: u32,
@@ -153,27 +227,44 @@ struct WalkerState {
     previous: u32,
 }
 
-/// Mirrors [`crate::event`]'s neighbor pick (identical RNG
-/// consumption): prefer a neighbor other than where we came from, up
-/// to four re-picks.
-fn pick_next(neighbors: &[u32], previous: u32, rng: &mut Pcg64) -> u32 {
-    if neighbors.len() == 1 {
-        return neighbors[0];
-    }
-    let mut pick = neighbors[rng.index(neighbors.len())];
-    let mut tries = 0;
-    while pick == previous && tries < 4 {
-        pick = neighbors[rng.index(neighbors.len())];
-        tries += 1;
-    }
-    pick
-}
-
 fn step_tie(walker: u32, step: u32) -> u64 {
     tie_break(((walker as u64) << 32) | step as u64)
 }
 
-/// Reusable capacity-aware flood/walk engine. Holds the calendar,
+/// The inputs and running tallies of one flood, shared by its arrival
+/// and serve steps.
+struct FloodRun<'a> {
+    graph: &'a Graph,
+    holders: &'a [u32],
+    forwarders: Option<&'a [bool]>,
+    plan: &'a FaultPlan,
+    max_ttl: u32,
+    reached: u32,
+    messages: u64,
+    /// Real messages currently in the calendar.
+    in_cal: u64,
+    found_at_hop: Option<u32>,
+    first_hit_time: Option<u64>,
+    holders_reached: u32,
+}
+
+/// The inputs and running tallies of one walk, shared by its arrival
+/// and serve steps.
+struct WalkRun<'a> {
+    graph: &'a Graph,
+    holders: &'a [u32],
+    plan: &'a FaultPlan,
+    ttl: u32,
+    walkers: Vec<WalkerState>,
+    messages: u64,
+    /// Real messages currently in the calendar.
+    in_cal: u64,
+    visited: Vec<u32>,
+    found_at_step: Option<u32>,
+    first_hit_time: Option<u64>,
+}
+
+/// Reusable event-driven flood/walk engine. Holds the calendar,
 /// per-node queues, and visit marks across runs; [`reset`] rewinds
 /// everything while retaining every allocation, so steady-state reuse
 /// allocates nothing (the PR 8 arena discipline, backed by
@@ -258,15 +349,27 @@ impl OverloadEngine {
                 payload: Payload::Background,
             });
         }
-        if backlog > 0 && !self.busy[node as usize] {
-            self.busy[node as usize] = true;
-            self.cal.schedule_after(
-                cap.service_interval(node),
-                tie_break(SERVE_TAG ^ u64::from(node)),
-                Ev::Serve(node),
-            );
+        if backlog > 0 {
+            self.start_service(node, cap);
         }
         u64::from(backlog)
+    }
+
+    /// Starts `node`'s service clock unless it is already running.
+    fn start_service(&mut self, node: u32, cap: &CapacityPlan) {
+        if !self.busy[node as usize] {
+            self.busy[node as usize] = true;
+            self.schedule_serve(node, cap);
+        }
+    }
+
+    /// Schedules `node`'s next `Serve` event, one service interval out.
+    fn schedule_serve(&mut self, node: u32, cap: &CapacityPlan) {
+        self.cal.schedule_after(
+            cap.service_interval(node),
+            tie_break(SERVE_TAG ^ u64::from(node)),
+            Ev::Serve(node),
+        );
     }
 
     /// Admits an arriving real message into `node`'s queue, shedding
@@ -309,10 +412,11 @@ impl OverloadEngine {
                         .iter()
                         .enumerate()
                         .min_by_key(|(i, e)| (e.remaining_ttl(max_ttl), *i))
-                        .expect("full queue has a minimum"); // qcplint: allow(panic) — queue_bound >= 1
-                                                             // The arriving message competes on the same key: if
-                                                             // it has no more budget than the weakest queued
-                                                             // entry, it is the one shed.
+                        // qcplint: allow(panic) — queue_bound >= 1
+                        .expect("full queue has a minimum");
+                    // The arriving message competes on the same key: if
+                    // it has no more budget than the weakest queued
+                    // entry, it is the one shed.
                     if entry.remaining_ttl(max_ttl) <= q[idx].remaining_ttl(max_ttl) {
                         out.shed += 1;
                         return (None, true);
@@ -329,37 +433,163 @@ impl OverloadEngine {
         }
         out.enqueued += 1;
         self.queues[node as usize].push_back(entry);
-        if !self.busy[node as usize] {
-            self.busy[node as usize] = true;
-            self.cal.schedule_after(
-                cap.service_interval(node),
-                tie_break(SERVE_TAG ^ u64::from(node)),
-                Ev::Serve(node),
-            );
-        }
+        self.start_service(node, cap);
         (evicted, false)
     }
 
-    /// After a serve event at `node`, keep its service clock running if
-    /// work remains.
-    fn reschedule_service(&mut self, node: u32, cap: &CapacityPlan) {
+    /// A `Serve` event at `node`: dequeues its head, keeps its service
+    /// clock running if work remains, and accounts a real entry as
+    /// served at `now`.
+    fn serve_head(
+        &mut self,
+        node: u32,
+        now: u64,
+        cap: &CapacityPlan,
+        over: &mut OverloadOutcome,
+    ) -> QEntry {
+        let entry = self.queues[node as usize]
+            .pop_front()
+            // qcplint: allow(panic) — a Serve is only scheduled while
+            // its queue is non-empty.
+            .expect("serve on empty queue");
         if self.queues[node as usize].is_empty() {
             self.busy[node as usize] = false;
         } else {
+            self.schedule_serve(node, cap);
+        }
+        if entry.is_real() {
+            over.served += 1;
+            over.queue_delay += now - entry.arrived;
+        }
+        entry
+    }
+
+    /// Pops the next event, unless the calendar is drained or the event
+    /// lies past `cutoff`.
+    fn next_event(&mut self, cutoff: Option<u64>) -> Option<(u64, Ev)> {
+        let t = self.cal.peek_time()?;
+        if cutoff.is_some_and(|c| t > c) {
+            return None;
+        }
+        self.cal.pop()
+    }
+
+    /// After the event loop: whether the cutoff truncated the run
+    /// (events remain), and its completion time — the cutoff when
+    /// truncated, the last processed event's time otherwise.
+    fn clock_out(&self, cutoff: Option<u64>) -> (bool, u64) {
+        match cutoff {
+            Some(c) if !self.cal.is_empty() => (true, c),
+            _ => (false, self.cal.now()),
+        }
+    }
+
+    /// Real messages still queued at the end of a run.
+    fn queued_real(&self) -> u64 {
+        self.touched
+            .iter()
+            .map(|&n| {
+                self.queues[n as usize]
+                    .iter()
+                    .filter(|e| e.is_real())
+                    .count() as u64
+            })
+            .sum()
+    }
+
+    /// Records a finished run under `kernel`: its messages and faults,
+    /// the overload counters of a limited run (`over`), and the first
+    /// hit's hop and time.
+    fn record_run<R: Recorder>(
+        kernel: Kernel,
+        messages: u64,
+        stats: &FaultStats,
+        over: Option<&OverloadOutcome>,
+        found_at: Option<u32>,
+        first_hit_time: Option<u64>,
+        rec: &mut R,
+    ) {
+        rec.rec_count(kernel, Counter::Messages, messages);
+        rec.rec_faults(kernel, stats);
+        if let Some(over) = over {
+            rec.rec_count(kernel, Counter::Enqueued, over.enqueued);
+            rec.rec_count(kernel, Counter::Served, over.served);
+            rec.rec_count(kernel, Counter::Shed, over.shed);
+            rec.rec_count(kernel, Counter::QueueDelay, over.queue_delay);
+        }
+        if let Some(h) = found_at {
+            rec.rec_hop(kernel, h, 1);
+        }
+        if let Some(t) = first_hit_time {
+            rec.rec_time(kernel, t, 1);
+        }
+        rec.rec_event(
+            kernel,
+            if found_at.is_some() {
+                Event::Hit
+            } else {
+                Event::Miss
+            },
+        );
+    }
+
+    /// `u` (just marked, at `cal.now()`) forwards to every neighbor,
+    /// each message arriving at hop `hop` after its link latency.
+    fn send_round(&mut self, run: &mut FloodRun<'_>, u: u32, hop: u32) {
+        for &v in run.graph.neighbors(u) {
+            run.messages += 1;
+            run.in_cal += 1;
+            let msg = run.messages;
             self.cal.schedule_after(
-                cap.service_interval(node),
-                tie_break(SERVE_TAG ^ u64::from(node)),
-                Ev::Serve(node),
+                run.plan.latency(u, v),
+                tie_break(msg),
+                Ev::Flood {
+                    from: u,
+                    to: v,
+                    hop,
+                    msg,
+                },
             );
         }
     }
 
-    /// Capacity-aware event flood. With an unlimited `cap` this is
-    /// [`event_flood_rec`] verbatim (bitwise, by delegation); otherwise
-    /// arrivals queue at their target and are marked/forwarded at
-    /// service time. Parameters mirror [`event_flood_rec`].
-    #[allow(clippy::too_many_arguments)] // mirrors event_flood_rec + the capacity plan
-    pub fn flood_rec<R: Recorder>(
+    /// The flood's serve step at `node` (on arrival when unlimited, at
+    /// its `Serve` event otherwise): mark it, check holders, forward.
+    /// A duplicate consumed its service but goes no further.
+    fn serve_flood(&mut self, run: &mut FloodRun<'_>, node: u32, hop: u32, now: u64) {
+        if self.marked[node as usize] {
+            return;
+        }
+        self.mark(node);
+        run.reached += 1;
+        if run.holders.binary_search(&node).is_ok() {
+            run.holders_reached += 1;
+            if run.found_at_hop.is_none() {
+                run.found_at_hop = Some(hop);
+                run.first_hit_time = Some(now);
+            }
+        }
+        // Only forwarders expand (the source never re-arrives fresh).
+        let forwards = run.forwarders.is_none_or(|m| m[node as usize]);
+        if hop < run.max_ttl && forwards {
+            self.send_round(run, node, hop + 1);
+        }
+    }
+
+    /// Event-driven TTL-limited flood under capacity plan `cap`. See the
+    /// module docs for the accounting contract and the
+    /// census-equivalence argument.
+    ///
+    /// * `cutoff` — optional virtual-time deadline: events past it are
+    ///   not processed and the outcome reports `truncated = true`;
+    /// * `holders` sorted, `forwarders` mask with the source always
+    ///   forwarding, `nonce` the query's position in the drop stream,
+    ///   as in [`FloodEngine::run`](crate::FloodEngine::run).
+    ///
+    /// The recorder is write-only: outcomes and stats are bit-identical
+    /// for any recorder.
+    #[allow(clippy::too_many_arguments)] // the flood's inputs + fault, capacity and clock context
+    pub fn flood<R: Recorder>(
         &mut self,
         graph: &Graph,
         source: u32,
@@ -373,207 +603,174 @@ impl OverloadEngine {
         cutoff: Option<u64>,
         rec: &mut R,
     ) -> (EventFloodOutcome, FaultStats, OverloadOutcome) {
-        if cap.is_unlimited() {
-            let (out, stats) = event_flood_rec(
-                graph, source, max_ttl, holders, forwarders, plan, time, nonce, cutoff, rec,
-            );
-            return (out, stats, OverloadOutcome::default());
-        }
         debug_assert!(holders.windows(2).all(|w| w[0] < w[1]));
         rec.rec_span(Kernel::Flood);
         let mut stats = FaultStats::default();
         let mut over = OverloadOutcome::default();
         if !plan.alive_at(source, time) {
             rec.rec_event(Kernel::Flood, Event::DeadSource);
-            return (
-                EventFloodOutcome {
-                    flood: FloodOutcome {
-                        found: false,
-                        found_at_hop: None,
-                        reached: 0,
-                        messages: 0,
-                    },
-                    first_hit_time: None,
-                    completion_time: 0,
-                    truncated: false,
-                    holders_reached: 0,
-                },
-                stats,
-                over,
-            );
+            return (EventFloodOutcome::default(), stats, over);
         }
         self.reset(graph.num_nodes());
-        let mut reached = 1u32;
-        let mut messages = 0u64;
-        let mut in_cal = 0u64; // real messages currently in the calendar
-        let mut found_at_hop = None;
-        let mut first_hit_time = None;
-        let mut holders_reached = 0u32;
+        let mut run = FloodRun {
+            graph,
+            holders,
+            forwarders,
+            plan,
+            max_ttl,
+            reached: 1,
+            messages: 0,
+            in_cal: 0,
+            found_at_hop: None,
+            first_hit_time: None,
+            holders_reached: 0,
+        };
         self.mark(source);
         if holders.binary_search(&source).is_ok() {
-            found_at_hop = Some(0);
-            first_hit_time = Some(0);
-            holders_reached = 1;
+            run.found_at_hop = Some(0);
+            run.first_hit_time = Some(0);
+            run.holders_reached = 1;
         }
-        // The querying node pays its own backlog too: its send round is
-        // instant (as in PR 7 — sends are counted, not queued at the
-        // sender), but replies arriving back at it will queue.
+        // The querying node's own send round is instant (sends are
+        // counted, not queued at the sender), but replies arriving back
+        // at it will queue.
         if max_ttl > 0 {
-            for &v in graph.neighbors(source) {
-                messages += 1;
-                in_cal += 1;
-                let msg = messages;
-                self.cal.schedule_after(
-                    plan.latency(source, v),
-                    tie_break(msg),
-                    Ev::Flood {
-                        from: source,
-                        to: v,
-                        hop: 1,
-                        msg,
-                    },
-                );
-            }
+            self.send_round(&mut run, source, 1);
         }
-        let mut truncated = false;
-        while let Some(t) = self.cal.peek_time() {
-            if cutoff.is_some_and(|c| t > c) {
-                truncated = true;
-                break;
-            }
-            // qcplint: allow(panic) — peek_time returned Some on this
-            // single-threaded calendar, so an event is pending.
-            let (t, ev) = self.cal.pop().expect("peeked event vanished");
+        let unlimited = cap.is_unlimited();
+        while let Some((t, ev)) = self.next_event(cutoff) {
             match ev {
                 Ev::Flood { from, to, hop, msg } => {
-                    in_cal -= 1;
+                    run.in_cal -= 1;
                     if !plan.alive_at(to, time) {
                         stats.dead_targets += 1;
-                        continue;
-                    }
-                    if plan.drop_message(from, to, nonce, msg) {
+                    } else if plan.drop_message(from, to, nonce, msg) {
                         stats.dropped += 1;
-                        continue;
+                    } else if unlimited {
+                        self.serve_flood(&mut run, to, hop, t);
+                    } else {
+                        over.backlog_seeded += self.touch(to, t, nonce, cap);
+                        let entry = QEntry {
+                            arrived: t,
+                            payload: Payload::Flood { hop },
+                        };
+                        // Flood evictions just die (no walker to resume).
+                        let _ =
+                            self.enqueue(Kernel::Flood, to, entry, max_ttl, cap, &mut over, rec);
                     }
-                    over.backlog_seeded += self.touch(to, t, nonce, cap);
-                    let entry = QEntry {
-                        arrived: t,
-                        payload: Payload::Flood { hop },
-                    };
-                    // Flood evictions just die (no walker to resume).
-                    let _ = self.enqueue(Kernel::Flood, to, entry, max_ttl, cap, &mut over, rec);
                 }
                 Ev::Serve(node) => {
-                    let entry = self.queues[node as usize]
-                        .pop_front()
-                        // qcplint: allow(panic) — a Serve is only
-                        // scheduled while its queue is non-empty.
-                        .expect("serve on empty queue");
-                    self.reschedule_service(node, cap);
+                    let entry = self.serve_head(node, t, cap, &mut over);
+                    // Synthetic backlog only consumes the slot.
                     if let Payload::Flood { hop } = entry.payload {
-                        over.served += 1;
-                        over.queue_delay += t - entry.arrived;
-                        if self.marked[node as usize] {
-                            continue; // duplicate: consumed capacity, no forward
-                        }
-                        self.mark(node);
-                        reached += 1;
-                        if holders.binary_search(&node).is_ok() {
-                            holders_reached += 1;
-                            if found_at_hop.is_none() {
-                                found_at_hop = Some(hop);
-                                first_hit_time = Some(t);
-                            }
-                        }
-                        let forwards = forwarders.is_none_or(|m| m[node as usize]);
-                        if hop < max_ttl && forwards {
-                            for &v in graph.neighbors(node) {
-                                messages += 1;
-                                in_cal += 1;
-                                let msg = messages;
-                                self.cal.schedule_after(
-                                    plan.latency(node, v),
-                                    tie_break(msg),
-                                    Ev::Flood {
-                                        from: node,
-                                        to: v,
-                                        hop: hop + 1,
-                                        msg,
-                                    },
-                                );
-                            }
-                        }
+                        self.serve_flood(&mut run, node, hop, t);
                     }
-                    // Synthetic backlog: the slot is consumed, nothing
-                    // else happens.
                 }
                 // Walk events are never scheduled by the flood kernel.
                 Ev::Walk { .. } => unreachable!("walk event in flood run"),
             }
         }
-        over.in_flight = in_cal
-            + self
-                .touched
-                .iter()
-                .map(|&n| {
-                    self.queues[n as usize]
-                        .iter()
-                        .filter(|e| e.is_real())
-                        .count() as u64
-                })
-                .sum::<u64>();
-        let completion_time = match cutoff {
-            Some(c) if truncated => c,
-            _ => self.cal.now(),
-        };
+        if !unlimited {
+            over.in_flight = run.in_cal + self.queued_real();
+        }
+        let (truncated, completion_time) = self.clock_out(cutoff);
         stats.ticks = completion_time;
-        rec.rec_count(Kernel::Flood, Counter::Messages, messages);
-        rec.rec_faults(Kernel::Flood, &stats);
-        rec.rec_count(Kernel::Flood, Counter::Enqueued, over.enqueued);
-        rec.rec_count(Kernel::Flood, Counter::Served, over.served);
-        rec.rec_count(Kernel::Flood, Counter::Shed, over.shed);
-        rec.rec_count(Kernel::Flood, Counter::QueueDelay, over.queue_delay);
-        if let Some(h) = found_at_hop {
-            rec.rec_hop(Kernel::Flood, h, 1);
-        }
-        if let Some(t) = first_hit_time {
-            rec.rec_time(Kernel::Flood, t, 1);
-        }
-        rec.rec_event(
+        Self::record_run(
             Kernel::Flood,
-            if found_at_hop.is_some() {
-                Event::Hit
-            } else {
-                Event::Miss
-            },
+            run.messages,
+            &stats,
+            (!unlimited).then_some(&over),
+            run.found_at_hop,
+            run.first_hit_time,
+            rec,
         );
         (
             EventFloodOutcome {
                 flood: FloodOutcome {
-                    found: found_at_hop.is_some(),
-                    found_at_hop,
-                    reached,
-                    messages,
+                    found: run.found_at_hop.is_some(),
+                    found_at_hop: run.found_at_hop,
+                    reached: run.reached,
+                    messages: run.messages,
                 },
-                first_hit_time,
+                first_hit_time: run.first_hit_time,
                 completion_time,
                 truncated,
-                holders_reached,
+                holders_reached: run.holders_reached,
             },
             stats,
             over,
         )
     }
 
-    /// Capacity-aware event walk. With an unlimited `cap` this is
-    /// [`event_walk_rec`] verbatim (bitwise, by delegation); otherwise
-    /// arriving steps queue at their target and the walker moves at
-    /// service time. A shed step strands its walker for that step (the
-    /// drop semantics); an *evicted* queued step resumes its walker
-    /// from where it stands at eviction time. Parameters mirror
-    /// [`event_walk_rec`].
-    #[allow(clippy::too_many_arguments)] // mirrors event_walk_rec + the capacity plan
-    pub fn walk_rec<R: Recorder>(
+    /// Schedules walker `w`'s next step from wherever it stands (after
+    /// a successful move, a strand, or an eviction), if budget remains.
+    fn resume_walker(&mut self, run: &mut WalkRun<'_>, w: u32, step: u32) {
+        if step >= run.ttl {
+            return;
+        }
+        let walker = &mut run.walkers[w as usize];
+        let neighbors = run.graph.neighbors(walker.current);
+        if neighbors.is_empty() {
+            return;
+        }
+        let next = pick_next(neighbors, walker.previous, &mut walker.rng);
+        run.messages += 1;
+        run.in_cal += 1;
+        self.cal.schedule_after(
+            run.plan.latency(walker.current, next),
+            step_tie(w, step + 1),
+            Ev::Walk {
+                walker: w,
+                step: step + 1,
+                from: walker.current,
+                to: next,
+                msg: run.messages,
+            },
+        );
+    }
+
+    /// The walk's serve step for walker `w`'s step `step` from `from` to
+    /// `node` (on arrival when unlimited, at its `Serve` event
+    /// otherwise): move the walker, check holders, resume the walker.
+    fn serve_walk(
+        &mut self,
+        run: &mut WalkRun<'_>,
+        w: u32,
+        step: u32,
+        from: u32,
+        node: u32,
+        now: u64,
+    ) {
+        let walker = &mut run.walkers[w as usize];
+        walker.previous = from;
+        walker.current = node;
+        run.visited.push(node);
+        if run.holders.binary_search(&node).is_ok() {
+            if run.found_at_step.is_none() {
+                run.found_at_step = Some(step);
+                run.first_hit_time = Some(now);
+            }
+            return; // this walker stops on its own success
+        }
+        self.resume_walker(run, w, step);
+    }
+
+    /// Event-driven k-walker random walk under capacity plan `cap`. Each
+    /// walker draws from its own `Pcg64::with_stream(seed, walker)`
+    /// stream, and every draw happens in the walker's own event chain —
+    /// a walker has at most one step outstanding — so interleaving
+    /// across walkers cannot perturb any stream.
+    ///
+    /// Fault semantics mirror [`random_walk_search`]: a dead target or
+    /// in-flight drop wastes the message and strands the walker in place
+    /// for that step; walks never retry. Under a limited plan a shed
+    /// step strands its walker the same way, and an *evicted* queued
+    /// step resumes its walker from where it stands at eviction time.
+    /// `cutoff` truncates as in [`Self::flood`].
+    ///
+    /// [`random_walk_search`]: crate::walk::random_walk_search
+    #[allow(clippy::too_many_arguments)] // the walk's inputs + fault, capacity and clock context
+    pub fn walk<R: Recorder>(
         &mut self,
         graph: &Graph,
         source: u32,
@@ -588,33 +785,13 @@ impl OverloadEngine {
         cutoff: Option<u64>,
         rec: &mut R,
     ) -> (EventWalkOutcome, FaultStats, OverloadOutcome) {
-        if cap.is_unlimited() {
-            let (out, stats) = event_walk_rec(
-                graph, source, k, ttl, holders, seed, plan, time, nonce, cutoff, rec,
-            );
-            return (out, stats, OverloadOutcome::default());
-        }
         debug_assert!(holders.windows(2).all(|w| w[0] < w[1]));
         rec.rec_span(Kernel::Walk);
         let mut stats = FaultStats::default();
         let mut over = OverloadOutcome::default();
         if !plan.alive_at(source, time) {
             rec.rec_event(Kernel::Walk, Event::DeadSource);
-            return (
-                EventWalkOutcome {
-                    walk: WalkOutcome {
-                        found: false,
-                        found_at_step: None,
-                        messages: 0,
-                        visited: 0,
-                    },
-                    first_hit_time: None,
-                    completion_time: 0,
-                    truncated: false,
-                },
-                stats,
-                over,
-            );
+            return (EventWalkOutcome::default(), stats, over);
         }
         if holders.binary_search(&source).is_ok() {
             rec.rec_hop(Kernel::Walk, 0, 1);
@@ -637,46 +814,29 @@ impl OverloadEngine {
             );
         }
         self.reset(graph.num_nodes());
-        let mut messages = 0u64;
-        let mut in_cal = 0u64;
-        let mut visited: Vec<u32> = vec![source];
-        let mut found_at_step: Option<u32> = None;
-        let mut first_hit_time: Option<u64> = None;
-        let mut walkers: Vec<WalkerState> = Vec::with_capacity(k);
-        for w in 0..k {
-            let mut walker = WalkerState {
-                rng: Pcg64::with_stream(seed, w as u64),
-                current: source,
-                previous: u32::MAX,
-            };
-            let neighbors = graph.neighbors(source);
-            if ttl > 0 && !neighbors.is_empty() {
-                let next = pick_next(neighbors, walker.previous, &mut walker.rng);
-                messages += 1;
-                in_cal += 1;
-                self.cal.schedule_after(
-                    plan.latency(source, next),
-                    step_tie(w as u32, 1),
-                    Ev::Walk {
-                        walker: w as u32,
-                        step: 1,
-                        from: source,
-                        to: next,
-                        msg: messages,
-                    },
-                );
-            }
-            walkers.push(walker);
+        let mut run = WalkRun {
+            graph,
+            holders,
+            plan,
+            ttl,
+            walkers: (0..k)
+                .map(|w| WalkerState {
+                    rng: Pcg64::with_stream(seed, w as u64),
+                    current: source,
+                    previous: u32::MAX,
+                })
+                .collect(),
+            messages: 0,
+            in_cal: 0,
+            visited: vec![source],
+            found_at_step: None,
+            first_hit_time: None,
+        };
+        for w in 0..k as u32 {
+            self.resume_walker(&mut run, w, 0);
         }
-        let mut truncated = false;
-        while let Some(t) = self.cal.peek_time() {
-            if cutoff.is_some_and(|c| t > c) {
-                truncated = true;
-                break;
-            }
-            // qcplint: allow(panic) — peek_time returned Some on this
-            // single-threaded calendar, so an event is pending.
-            let (t, ev) = self.cal.pop().expect("peeked event vanished");
+        let unlimited = cap.is_unlimited();
+        while let Some((t, ev)) = self.next_event(cutoff) {
             match ev {
                 Ev::Walk {
                     walker: w,
@@ -685,7 +845,9 @@ impl OverloadEngine {
                     to,
                     msg,
                 } => {
-                    in_cal -= 1;
+                    run.in_cal -= 1;
+                    // A stranded walker stays put; the step number is
+                    // consumed.
                     let mut stranded = false;
                     if !plan.alive_at(to, time) {
                         stats.dead_targets += 1;
@@ -693,6 +855,8 @@ impl OverloadEngine {
                     } else if plan.drop_message(from, to, nonce, msg) {
                         stats.dropped += 1;
                         stranded = true;
+                    } else if unlimited {
+                        self.serve_walk(&mut run, w, step, from, to, t);
                     } else {
                         over.backlog_seeded += self.touch(to, t, nonce, cap);
                         let entry = QEntry {
@@ -705,10 +869,8 @@ impl OverloadEngine {
                         };
                         let (evicted, arriving_shed) =
                             self.enqueue(Kernel::Walk, to, entry, ttl, cap, &mut over, rec);
-                        if arriving_shed {
-                            // Shed at the door: the drop semantics.
-                            stranded = true;
-                        }
+                        // Shed at the door: the drop semantics.
+                        stranded = arriving_shed;
                         if let Some(QEntry {
                             payload:
                                 Payload::Walk {
@@ -722,124 +884,49 @@ impl OverloadEngine {
                             // The evicted step never got serviced, so
                             // its walker never moved: resume it from
                             // where it stands, step number consumed.
-                            Self::resume_walker(
-                                &mut self.cal,
-                                graph,
-                                plan,
-                                &mut walkers[ew as usize],
-                                ew,
-                                es,
-                                ttl,
-                                &mut messages,
-                                &mut in_cal,
-                            );
+                            self.resume_walker(&mut run, ew, es);
                         }
                     }
                     if stranded {
-                        // Walker stays put; the step number is consumed.
-                        Self::resume_walker(
-                            &mut self.cal,
-                            graph,
-                            plan,
-                            &mut walkers[w as usize],
-                            w,
-                            step,
-                            ttl,
-                            &mut messages,
-                            &mut in_cal,
-                        );
+                        self.resume_walker(&mut run, w, step);
                     }
                 }
                 Ev::Serve(node) => {
-                    let entry = self.queues[node as usize]
-                        .pop_front()
-                        // qcplint: allow(panic) — a Serve is only
-                        // scheduled while its queue is non-empty.
-                        .expect("serve on empty queue");
-                    self.reschedule_service(node, cap);
-                    if let Payload::Walk {
-                        walker: w,
-                        step,
-                        from,
-                    } = entry.payload
-                    {
-                        over.served += 1;
-                        over.queue_delay += t - entry.arrived;
-                        let walker = &mut walkers[w as usize];
-                        walker.previous = from;
-                        walker.current = node;
-                        visited.push(node);
-                        if holders.binary_search(&node).is_ok() {
-                            if found_at_step.is_none() {
-                                found_at_step = Some(step);
-                                first_hit_time = Some(t);
-                            }
-                            continue; // this walker stops on its own success
-                        }
-                        Self::resume_walker(
-                            &mut self.cal,
-                            graph,
-                            plan,
-                            walker,
-                            w,
-                            step,
-                            ttl,
-                            &mut messages,
-                            &mut in_cal,
-                        );
+                    let entry = self.serve_head(node, t, cap, &mut over);
+                    // Synthetic backlog only consumes the slot.
+                    if let Payload::Walk { walker, step, from } = entry.payload {
+                        self.serve_walk(&mut run, walker, step, from, node, t);
                     }
                 }
                 // Flood events are never scheduled by the walk kernel.
                 Ev::Flood { .. } => unreachable!("flood event in walk run"),
             }
         }
-        visited.sort_unstable();
-        visited.dedup();
-        over.in_flight = in_cal
-            + self
-                .touched
-                .iter()
-                .map(|&n| {
-                    self.queues[n as usize]
-                        .iter()
-                        .filter(|e| e.is_real())
-                        .count() as u64
-                })
-                .sum::<u64>();
-        let completion_time = match cutoff {
-            Some(c) if truncated => c,
-            _ => self.cal.now(),
-        };
+        run.visited.sort_unstable();
+        run.visited.dedup();
+        if !unlimited {
+            over.in_flight = run.in_cal + self.queued_real();
+        }
+        let (truncated, completion_time) = self.clock_out(cutoff);
         stats.ticks = completion_time;
-        rec.rec_count(Kernel::Walk, Counter::Messages, messages);
-        rec.rec_faults(Kernel::Walk, &stats);
-        rec.rec_count(Kernel::Walk, Counter::Enqueued, over.enqueued);
-        rec.rec_count(Kernel::Walk, Counter::Served, over.served);
-        rec.rec_count(Kernel::Walk, Counter::Shed, over.shed);
-        rec.rec_count(Kernel::Walk, Counter::QueueDelay, over.queue_delay);
-        if let Some(step) = found_at_step {
-            rec.rec_hop(Kernel::Walk, step, 1);
-        }
-        if let Some(t) = first_hit_time {
-            rec.rec_time(Kernel::Walk, t, 1);
-        }
-        rec.rec_event(
+        Self::record_run(
             Kernel::Walk,
-            if found_at_step.is_some() {
-                Event::Hit
-            } else {
-                Event::Miss
-            },
+            run.messages,
+            &stats,
+            (!unlimited).then_some(&over),
+            run.found_at_step,
+            run.first_hit_time,
+            rec,
         );
         (
             EventWalkOutcome {
                 walk: WalkOutcome {
-                    found: found_at_step.is_some(),
-                    found_at_step,
-                    messages,
-                    visited: visited.len() as u32,
+                    found: run.found_at_step.is_some(),
+                    found_at_step: run.found_at_step,
+                    messages: run.messages,
+                    visited: run.visited.len() as u32,
                 },
-                first_hit_time,
+                first_hit_time: run.first_hit_time,
                 completion_time,
                 truncated,
             },
@@ -847,49 +934,12 @@ impl OverloadEngine {
             over,
         )
     }
-
-    /// Schedules walker `w`'s next step from wherever it stands (after
-    /// a successful move, a strand, or an eviction), if budget remains.
-    #[allow(clippy::too_many_arguments)] // one continuation site, three callers
-    fn resume_walker(
-        cal: &mut Calendar<Ev>,
-        graph: &Graph,
-        plan: &FaultPlan,
-        walker: &mut WalkerState,
-        w: u32,
-        step: u32,
-        ttl: u32,
-        messages: &mut u64,
-        in_cal: &mut u64,
-    ) {
-        if step >= ttl {
-            return;
-        }
-        let neighbors = graph.neighbors(walker.current);
-        if neighbors.is_empty() {
-            return;
-        }
-        let next = pick_next(neighbors, walker.previous, &mut walker.rng);
-        *messages += 1;
-        *in_cal += 1;
-        cal.schedule_after(
-            plan.latency(walker.current, next),
-            step_tie(w, step + 1),
-            Ev::Walk {
-                walker: w,
-                step: step + 1,
-                from: walker.current,
-                to: next,
-                msg: *messages,
-            },
-        );
-    }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qcp_faults::capacity::{CapacityConfig, CapacityModel};
+    use qcp_faults::FaultConfig;
     use qcp_obs::NoopRecorder;
 
     fn path(n: usize) -> Graph {
@@ -908,30 +958,38 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_flood_delegates_bitwise() {
+    fn unlimited_flood_after_limited_runs_is_bitwise_a_fresh_run() {
+        // Reset must leave no queue, backlog or mark behind: an engine
+        // that just ran a shedding flood serves an unlimited one exactly
+        // like a fresh engine.
         let g = crate::topology::erdos_renyi(300, 5.0, 3).graph;
         let plan = FaultPlan::none(300);
-        let cap = CapacityPlan::unlimited();
-        let mut eng = OverloadEngine::new();
-        for ttl in 0..=5 {
-            let (a, sa) =
-                crate::event::event_flood(&g, 7, ttl, &[50, 200], None, &plan, 0, 1, None);
-            let (b, sb, over) = eng.flood_rec(
+        let run = |eng: &mut OverloadEngine, ttl, cap: &CapacityPlan| {
+            let cutoff = (!cap.is_unlimited()).then_some(60);
+            let nonce = u64::from(ttl);
+            let holders = [50, 200];
+            eng.flood(
                 &g,
                 7,
                 ttl,
-                &[50, 200],
+                &holders,
                 None,
                 &plan,
-                &cap,
+                cap,
                 0,
-                1,
-                None,
+                nonce,
+                cutoff,
                 &mut NoopRecorder,
-            );
-            assert_eq!(a, b);
-            assert_eq!(sa, sb);
-            assert_eq!(over, OverloadOutcome::default());
+            )
+        };
+        let unlimited = CapacityPlan::unlimited();
+        let mut eng = OverloadEngine::new();
+        for ttl in 0..=5 {
+            let (_, _, loaded) = run(&mut eng, 5, &limited(64.0, ShedPolicy::DropOldest));
+            assert!(loaded.shed > 0);
+            let fresh = run(&mut OverloadEngine::new(), ttl, &unlimited);
+            assert_eq!(run(&mut eng, ttl, &unlimited), fresh);
+            assert_eq!(fresh.2, OverloadOutcome::default());
         }
     }
 
@@ -944,8 +1002,8 @@ mod tests {
         let plan = FaultPlan::none(6);
         let cap = limited(0.0, ShedPolicy::DropNewest);
         let mut eng = OverloadEngine::new();
-        let (free, _) = crate::event::event_flood(&g, 0, 5, &[4], None, &plan, 0, 7, None);
-        let (out, stats, over) = eng.flood_rec(
+        let free = crate::FloodEngine::new(6).flood_census(&g, 0, 5, &[4], None);
+        let (out, stats, over) = eng.flood(
             &g,
             0,
             5,
@@ -958,7 +1016,7 @@ mod tests {
             None,
             &mut NoopRecorder,
         );
-        assert_eq!(out.flood, free.flood);
+        assert_eq!(out.flood, free.at(5));
         assert_eq!(over.shed, 0);
         assert_eq!(over.backlog_seeded, 0);
         assert_eq!(over.enqueued, over.served + over.in_flight);
@@ -974,7 +1032,7 @@ mod tests {
         let mut eng = OverloadEngine::new();
         for policy in ShedPolicy::ALL {
             let cap = limited(64.0, policy);
-            let (out, stats, over) = eng.flood_rec(
+            let (out, stats, over) = eng.flood(
                 &g,
                 3,
                 4,
@@ -1002,7 +1060,7 @@ mod tests {
         let g = crate::topology::erdos_renyi(200, 6.0, 13).graph;
         let plan = FaultPlan::build(
             200,
-            &qcp_faults::FaultConfig {
+            &FaultConfig {
                 loss: 0.15,
                 mean_latency: 3,
                 ..Default::default()
@@ -1011,7 +1069,7 @@ mod tests {
         let cap = limited(16.0, ShedPolicy::TtlPriority);
         let run = || {
             let mut eng = OverloadEngine::new();
-            eng.walk_rec(
+            eng.walk(
                 &g,
                 5,
                 8,
@@ -1036,29 +1094,32 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_walk_delegates_bitwise() {
+    fn unlimited_walk_after_a_limited_run_is_bitwise_a_fresh_run() {
         let g = crate::topology::erdos_renyi(200, 6.0, 13).graph;
         let plan = FaultPlan::none(200);
-        let cap = CapacityPlan::unlimited();
+        let run = |eng: &mut OverloadEngine, k, holders: &[u32], cap: &CapacityPlan| {
+            eng.walk(
+                &g,
+                5,
+                k,
+                20,
+                holders,
+                7,
+                &plan,
+                cap,
+                0,
+                9,
+                Some(100),
+                &mut NoopRecorder,
+            )
+        };
+        let unlimited = CapacityPlan::unlimited();
         let mut eng = OverloadEngine::new();
-        let (a, sa) = crate::event::event_walk(&g, 5, 4, 20, &[160], 7, &plan, 0, 9, Some(100));
-        let (b, sb, over) = eng.walk_rec(
-            &g,
-            5,
-            4,
-            20,
-            &[160],
-            7,
-            &plan,
-            &cap,
-            0,
-            9,
-            Some(100),
-            &mut NoopRecorder,
-        );
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-        assert_eq!(over, OverloadOutcome::default());
+        let (_, _, loaded) = run(&mut eng, 8, &[], &limited(64.0, ShedPolicy::TtlPriority));
+        assert!(loaded.backlog_seeded > 0);
+        let fresh = run(&mut OverloadEngine::new(), 4, &[160], &unlimited);
+        assert_eq!(run(&mut eng, 4, &[160], &unlimited), fresh);
+        assert_eq!(fresh.2, OverloadOutcome::default());
     }
 
     #[test]
@@ -1067,7 +1128,7 @@ mod tests {
         let plan = FaultPlan::none(150);
         let cap = limited(8.0, ShedPolicy::DropOldest);
         let mut eng = OverloadEngine::new();
-        let first = eng.flood_rec(
+        let first = eng.flood(
             &g,
             2,
             4,
@@ -1084,7 +1145,7 @@ mod tests {
         // Ten reuses of the same engine reproduce the first run and
         // never grow the calendar: the arena discipline.
         for _ in 0..10 {
-            let again = eng.flood_rec(
+            let again = eng.flood(
                 &g,
                 2,
                 4,
@@ -1113,7 +1174,7 @@ mod tests {
         let mut eng = OverloadEngine::new();
         let run = |eng: &mut OverloadEngine, policy| {
             let cap = limited(256.0, policy);
-            eng.flood_rec(
+            eng.flood(
                 &g,
                 0,
                 7,

@@ -10,12 +10,75 @@
 //! those the pins are determinism and the forwarder-mask contract.
 
 use proptest::prelude::*;
-use qcp_faults::{FaultConfig, FaultPlan};
+use qcp_faults::{CapacityPlan, FaultConfig, FaultPlan, FaultStats};
+use qcp_obs::NoopRecorder;
 use qcp_overlay::flood::FloodEngine;
-use qcp_overlay::{event_flood, event_walk, topology};
+use qcp_overlay::{topology, EventFloodOutcome, EventWalkOutcome, Graph, OverloadEngine};
+
+/// The event flood: [`OverloadEngine::flood`] under an unlimited plan.
+#[allow(clippy::too_many_arguments)] // the flood's inputs + fault and clock context
+fn event_flood(
+    g: &Graph,
+    source: u32,
+    max_ttl: u32,
+    holders: &[u32],
+    forwarders: Option<&[bool]>,
+    plan: &FaultPlan,
+    time: u64,
+    nonce: u64,
+    cutoff: Option<u64>,
+) -> (EventFloodOutcome, FaultStats) {
+    let cap = CapacityPlan::unlimited();
+    let (out, stats, _) = OverloadEngine::new().flood(
+        g,
+        source,
+        max_ttl,
+        holders,
+        forwarders,
+        plan,
+        &cap,
+        time,
+        nonce,
+        cutoff,
+        &mut NoopRecorder,
+    );
+    (out, stats)
+}
+
+/// The event walk: [`OverloadEngine::walk`] under an unlimited plan.
+#[allow(clippy::too_many_arguments)] // the walk's inputs + fault and clock context
+fn event_walk(
+    g: &Graph,
+    source: u32,
+    k: usize,
+    ttl: u32,
+    holders: &[u32],
+    seed: u64,
+    plan: &FaultPlan,
+    time: u64,
+    nonce: u64,
+    cutoff: Option<u64>,
+) -> (EventWalkOutcome, FaultStats) {
+    let cap = CapacityPlan::unlimited();
+    let (out, stats, _) = OverloadEngine::new().walk(
+        g,
+        source,
+        k,
+        ttl,
+        holders,
+        seed,
+        plan,
+        &cap,
+        time,
+        nonce,
+        cutoff,
+        &mut NoopRecorder,
+    );
+    (out, stats)
+}
 
 /// A small Erdős–Rényi world plus sorted holders, derived from two seeds.
-fn world(seed: u64, holder_seed: u64, n: usize) -> (qcp_overlay::Graph, Vec<u32>) {
+fn world(seed: u64, holder_seed: u64, n: usize) -> (Graph, Vec<u32>) {
     let g = topology::erdos_renyi(n, 4.0, seed).graph;
     let holders: Vec<u32> = (0..n as u32)
         .filter(|&v| qcp_util::hash::mix64(holder_seed ^ v as u64).is_multiple_of(17))
@@ -133,4 +196,189 @@ proptest! {
             prop_assert!(hit <= a.completion_time);
         }
     }
+}
+
+fn path(n: usize) -> Graph {
+    let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+    Graph::from_edges(n, &edges)
+}
+
+#[test]
+fn unit_latency_flood_matches_census_on_a_path() {
+    let g = path(6);
+    let plan = FaultPlan::none(6);
+    let mut engine = FloodEngine::new(6);
+    let census = engine.flood_census(&g, 0, 5, &[4], None);
+    for ttl in 0..=5 {
+        let (out, _) = event_flood(&g, 0, ttl, &[4], None, &plan, 0, 7, None);
+        assert_eq!(out.flood, census.at(ttl), "ttl {ttl}");
+        assert!(!out.truncated);
+        // Unit latency: completion is the deepest delivered hop.
+        assert_eq!(out.completion_time, ttl.min(5) as u64);
+    }
+    let (out, stats) = event_flood(&g, 0, 5, &[4], None, &plan, 0, 7, None);
+    assert_eq!(out.first_hit_time, Some(4));
+    assert_eq!(out.holders_reached, 1);
+    assert_eq!(stats.ticks, out.completion_time);
+}
+
+#[test]
+fn unit_latency_flood_matches_census_on_er_graph() {
+    let g = topology::erdos_renyi(300, 5.0, 3).graph;
+    let plan = FaultPlan::none(300);
+    let mut engine = FloodEngine::new(300);
+    let holders = [50u32, 200u32];
+    let census = engine.flood_census(&g, 7, 6, &holders, None);
+    for ttl in 0..=6 {
+        let (out, _) = event_flood(&g, 7, ttl, &holders, None, &plan, 0, 1, None);
+        assert_eq!(out.flood, census.at(ttl), "ttl {ttl}");
+    }
+}
+
+#[test]
+fn latency_stretches_first_hit_time_beyond_hop_count() {
+    let g = path(5);
+    let plan = FaultPlan::build(
+        5,
+        &FaultConfig {
+            mean_latency: 8,
+            ..Default::default()
+        },
+    );
+    let (out, _) = event_flood(&g, 0, 4, &[4], None, &plan, 0, 2, None);
+    assert!(out.flood.found);
+    let hit = out.first_hit_time.expect("path flood must hit");
+    assert!(
+        hit > 4,
+        "mean latency 8 must stretch 4 hops past 4 ticks (got {hit})"
+    );
+    assert!(out.completion_time >= hit);
+}
+
+#[test]
+fn cutoff_truncates_and_reports_partial_coverage() {
+    let g = path(10);
+    let plan = FaultPlan::none(10);
+    let (full, _) = event_flood(&g, 0, 9, &[9], None, &plan, 0, 3, None);
+    assert!(full.flood.found);
+    let (cut, _) = event_flood(&g, 0, 9, &[9], None, &plan, 0, 3, Some(4));
+    assert!(cut.truncated);
+    assert!(!cut.flood.found);
+    assert_eq!(cut.completion_time, 4);
+    // Reached exactly the 4-tick ball: nodes 0..=4.
+    assert_eq!(cut.flood.reached, 5);
+    assert!(cut.flood.reached < full.flood.reached);
+}
+
+#[test]
+fn event_flood_is_deterministic_under_faults() {
+    let g = topology::erdos_renyi(200, 6.0, 11).graph;
+    let plan = FaultPlan::build(
+        200,
+        &FaultConfig {
+            loss: 0.2,
+            churn: 0.1,
+            horizon: 64,
+            mean_latency: 4,
+            ..Default::default()
+        },
+    );
+    let run = || event_flood(&g, 3, 5, &[150], None, &plan, 9, 42, Some(40));
+    assert_eq!(run(), run());
+}
+
+#[test]
+fn dead_flood_source_sends_nothing() {
+    let g = path(4);
+    let plan = FaultPlan::build(
+        4,
+        &FaultConfig {
+            churn: 1.0,
+            horizon: 2,
+            rejoin: false,
+            loss: 0.0,
+            ..Default::default()
+        },
+    );
+    let t = (0..2u64)
+        .find(|&t| !plan.alive_at(0, t))
+        .expect("full churn downs node 0");
+    let (out, stats) = event_flood(&g, 0, 3, &[3], None, &plan, t, 0, None);
+    assert_eq!(out.flood.messages, 0);
+    assert_eq!(out.flood.reached, 0);
+    assert_eq!(stats, FaultStats::default());
+}
+
+#[test]
+fn event_walk_on_path_marches_forward_in_time() {
+    let g = path(5);
+    let plan = FaultPlan::none(5);
+    let (out, _) = event_walk(&g, 0, 1, 10, &[4], 2, &plan, 0, 0, None);
+    assert!(out.walk.found);
+    assert_eq!(out.walk.found_at_step, Some(4));
+    // Unit latency: time equals steps.
+    assert_eq!(out.first_hit_time, Some(4));
+    assert_eq!(out.walk.messages, 4);
+}
+
+#[test]
+fn event_walk_source_holder_is_instant() {
+    let g = path(5);
+    let plan = FaultPlan::none(5);
+    let (out, _) = event_walk(&g, 2, 4, 10, &[2], 1, &plan, 0, 0, None);
+    assert_eq!(out.first_hit_time, Some(0));
+    assert_eq!(out.walk.messages, 0);
+    assert_eq!(out.walk.visited, 1);
+}
+
+#[test]
+fn event_walk_cutoff_truncates() {
+    let g = path(50);
+    let plan = FaultPlan::none(50);
+    let (out, _) = event_walk(&g, 0, 1, 40, &[49], 3, &plan, 0, 0, Some(5));
+    assert!(out.truncated);
+    assert!(!out.walk.found);
+    assert_eq!(out.completion_time, 5);
+    assert!(out.walk.messages <= 6);
+}
+
+#[test]
+fn event_walk_is_deterministic_and_walker_streams_are_independent() {
+    let g = topology::erdos_renyi(200, 6.0, 13).graph;
+    let plan = FaultPlan::build(
+        200,
+        &FaultConfig {
+            loss: 0.15,
+            mean_latency: 3,
+            ..Default::default()
+        },
+    );
+    let run = |k: usize| event_walk(&g, 5, k, 30, &[160], 0xabc, &plan, 0, 9, Some(100));
+    assert_eq!(run(8), run(8));
+    // Walker w's stream does not depend on how many walkers run:
+    // k=1 outcome is reproducible inside the k=8 run's first stream.
+    let (one, _) = event_walk(&g, 5, 1, 30, &[], 0xabc, &plan, 0, 9, None);
+    let (eight, _) = event_walk(&g, 5, 8, 30, &[], 0xabc, &plan, 0, 9, None);
+    assert!(eight.walk.messages >= one.walk.messages);
+}
+
+#[test]
+fn dead_walk_source_issues_no_walkers() {
+    let g = path(5);
+    let plan = FaultPlan::build(
+        5,
+        &FaultConfig {
+            churn: 1.0,
+            horizon: 2,
+            rejoin: false,
+            loss: 0.0,
+            ..Default::default()
+        },
+    );
+    let t = (0..2u64)
+        .find(|&t| !plan.alive_at(0, t))
+        .expect("full churn downs node 0");
+    let (out, _) = event_walk(&g, 0, 4, 10, &[4], 0, &plan, t, 0, None);
+    assert!(!out.walk.found);
+    assert_eq!(out.walk.messages, 0);
 }

@@ -2,20 +2,24 @@
 //!
 //! Two load-bearing invariants:
 //!
-//! * **Unlimited capacity is the PR 7 kernel, bitwise.** An
-//!   [`OverloadEngine`] run under [`CapacityPlan::unlimited`] must equal
-//!   `event_flood` / `event_walk` exactly — outcome, fault stats, and
-//!   all-zero overload accounting — under fault-free *and* lossy plans.
+//! * **Unlimited capacity is the capacity-free event kernel, bitwise.**
+//!   An [`OverloadEngine`] run under [`CapacityPlan::unlimited`] must
+//!   equal the reference loops in `support` exactly — outcome, fault
+//!   stats, recorder state, and all-zero overload accounting — under
+//!   fault-free *and* lossy plans, with and without a cutoff.
 //! * **The shedding accounting identity.** Counting only the query's
 //!   own (real) messages: `sent == served + dead_targets + dropped +
 //!   shed + in_flight`, where `in_flight` counts calendar + queued
 //!   messages at a deadline cutoff and is zero when the run drains.
 
+mod support;
+
 use proptest::prelude::*;
 use qcp_faults::capacity::{CapacityConfig, CapacityModel, CapacityPlan, ShedPolicy};
 use qcp_faults::{FaultConfig, FaultPlan};
-use qcp_obs::NoopRecorder;
-use qcp_overlay::{event_flood, event_walk, topology, OverloadEngine, OverloadOutcome};
+use qcp_obs::{MetricsRecorder, NoopRecorder};
+use qcp_overlay::{topology, OverloadEngine, OverloadOutcome};
+use support::{reference_flood, reference_walk};
 
 /// A small Erdős–Rényi world plus sorted holders, derived from two seeds.
 fn world(seed: u64, holder_seed: u64, n: usize) -> (qcp_overlay::Graph, Vec<u32>) {
@@ -72,16 +76,19 @@ proptest! {
         } else {
             FaultPlan::none(150)
         };
-        let (a, sa) = event_flood(&g, source, ttl, &holders, None, &plan, 3, nonce, cutoff);
+        let mut ra = MetricsRecorder::new();
+        let (a, sa) =
+            reference_flood(&g, source, ttl, &holders, None, &plan, 3, nonce, cutoff, &mut ra);
         let mut eng = OverloadEngine::new();
         let cap = CapacityPlan::unlimited();
-        let (b, sb, over) = eng.flood_rec(
-            &g, source, ttl, &holders, None, &plan, &cap, 3, nonce, cutoff,
-            &mut NoopRecorder,
+        let mut rb = MetricsRecorder::new();
+        let (b, sb, over) = eng.flood(
+            &g, source, ttl, &holders, None, &plan, &cap, 3, nonce, cutoff, &mut rb,
         );
         prop_assert_eq!(a, b);
         prop_assert_eq!(sa, sb);
         prop_assert_eq!(over, OverloadOutcome::default());
+        prop_assert_eq!(ra, rb);
     }
 
     #[test]
@@ -97,16 +104,20 @@ proptest! {
         } else {
             FaultPlan::none(150)
         };
-        let (a, sa) = event_walk(&g, source, k, ttl, &holders, wseed, &plan, 0, nonce, cutoff);
+        let mut ra = MetricsRecorder::new();
+        let (a, sa) = reference_walk(
+            &g, source, k, ttl, &holders, wseed, &plan, 0, nonce, cutoff, &mut ra,
+        );
         let mut eng = OverloadEngine::new();
         let cap = CapacityPlan::unlimited();
-        let (b, sb, over) = eng.walk_rec(
-            &g, source, k, ttl, &holders, wseed, &plan, &cap, 0, nonce, cutoff,
-            &mut NoopRecorder,
+        let mut rb = MetricsRecorder::new();
+        let (b, sb, over) = eng.walk(
+            &g, source, k, ttl, &holders, wseed, &plan, &cap, 0, nonce, cutoff, &mut rb,
         );
         prop_assert_eq!(a, b);
         prop_assert_eq!(sa, sb);
         prop_assert_eq!(over, OverloadOutcome::default());
+        prop_assert_eq!(ra, rb);
     }
 
     #[test]
@@ -124,7 +135,7 @@ proptest! {
         };
         let cap = capacity(f64::from(load), policy_of(pol), model_of(mdl), seed ^ 0xca9);
         let mut eng = OverloadEngine::new();
-        let run = |eng: &mut OverloadEngine| eng.flood_rec(
+        let run = |eng: &mut OverloadEngine| eng.flood(
             &g, source, ttl, &holders, None, &plan, &cap, 3, nonce, cutoff,
             &mut NoopRecorder,
         );
@@ -158,7 +169,7 @@ proptest! {
         };
         let cap = capacity(f64::from(load), policy_of(pol), model_of(mdl), seed ^ 0x0ca);
         let mut eng = OverloadEngine::new();
-        let run = |eng: &mut OverloadEngine| eng.walk_rec(
+        let run = |eng: &mut OverloadEngine| eng.walk(
             &g, source, k, ttl, &holders, wseed, &plan, &cap, 0, nonce, cutoff,
             &mut NoopRecorder,
         );

@@ -14,14 +14,15 @@
 #[cfg(any(test, doc))]
 use crate::spec::SearchSpec;
 use crate::systems::{
-    reject_admission, FaultContext, MaintenanceSchedule, OverloadStats, SearchOutcome, SearchSystem,
+    event_outcome, reject_admission, FaultContext, MaintenanceSchedule, OverloadStats,
+    SearchOutcome, SearchSystem,
 };
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_dht::{ChordNetwork, DhtIndex};
-use qcp_faults::{CapacityPlan, FaultStats};
+use qcp_faults::{CapacityPlan, FaultPlan};
 use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
 use qcp_overlay::flood::{FloodEngine, FloodSpec};
-use qcp_overlay::{event_flood_rec, OverloadEngine, OverloadOutcome};
+use qcp_overlay::OverloadEngine;
 use qcp_util::hash::mix64;
 use qcp_util::rng::Pcg64;
 use qcp_vtime::Deadline;
@@ -69,6 +70,28 @@ fn record_lookup<R: Recorder>(rec: &mut R, messages: u64, hops: u32, success: bo
     );
 }
 
+/// The repair daemon, run on the query clock before each query and
+/// independent of the issuer: when `schedule` is due, posting lists
+/// stranded on departed owners move to their first alive successor
+/// (against the plan's alive mask at `time`), so later lookups stop
+/// missing stale. Returns the transfer messages (0 when no pass fired).
+fn repair_if_due<R: Recorder>(
+    schedule: &mut Option<MaintenanceSchedule>,
+    index: &mut DhtIndex,
+    net: &ChordNetwork,
+    plan: &FaultPlan,
+    time: u64,
+    rec: &mut R,
+) -> u64 {
+    if !schedule.as_mut().is_some_and(MaintenanceSchedule::due) {
+        return 0;
+    }
+    let (_, messages) = index.re_replicate(net, &plan.alive_mask_at(time));
+    rec.rec_span(Kernel::Repair);
+    rec.rec_count(Kernel::Repair, Counter::Messages, messages);
+    messages
+}
+
 /// Flood-then-DHT hybrid search.
 ///
 /// Generic over an instrumentation [`Recorder`] (default
@@ -90,7 +113,7 @@ pub struct HybridSearch<R: Recorder = NoopRecorder> {
     faults: Option<FaultContext>,
     maintenance: Option<MaintenanceSchedule>,
     deadline: Option<Deadline>,
-    capacity: Option<CapacityPlan>,
+    capacity: CapacityPlan,
     repair_messages: u64,
     recorder: R,
     /// Queries that fell back to the DHT (for reports).
@@ -111,7 +134,7 @@ impl<R: Recorder> HybridSearch<R> {
         seed: u64,
         faults: Option<FaultContext>,
         deadline: Option<Deadline>,
-        capacity: Option<CapacityPlan>,
+        capacity: CapacityPlan,
         recorder: R,
     ) -> Self {
         let net = ChordNetwork::new(world.num_peers(), seed ^ 0xcd);
@@ -174,32 +197,19 @@ impl<R: Recorder> HybridSearch<R> {
         // qcplint: allow(panic) — only called when `faults` is set.
         let ctx = self.faults.as_mut().expect("faulty path requires context");
         let (time, nonce) = ctx.next_query();
-        // The repair daemon runs on the query clock, independent of the
-        // issuer: stranded posting lists move to their first alive
-        // successor, so later lookups stop missing stale.
-        if let Some(sched) = &mut self.maintenance {
-            if sched.due() {
-                let alive = ctx.plan.alive_mask_at(time);
-                let (_, messages) = self.index.re_replicate(&self.net, &alive);
-                self.repair_messages += messages;
-                self.recorder.rec_span(Kernel::Repair);
-                self.recorder
-                    .rec_count(Kernel::Repair, Counter::Messages, messages);
-            }
-        }
+        self.repair_messages += repair_if_due(
+            &mut self.maintenance,
+            &mut self.index,
+            &self.net,
+            &ctx.plan,
+            time,
+            &mut self.recorder,
+        );
         if !ctx.plan.alive_at(query.source, time) {
             // A departed peer issues nothing.
             self.recorder.rec_span(Kernel::Flood);
             self.recorder.rec_event(Kernel::Flood, Event::DeadSource);
-            return SearchOutcome {
-                success: false,
-                messages: 0,
-                hops: None,
-                faults: FaultStats::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
-            };
+            return SearchOutcome::default();
         }
         let matching = world.matching_objects(&query.terms);
         let holders = world.holders_of(&matching);
@@ -219,13 +229,12 @@ impl<R: Recorder> HybridSearch<R> {
         let hits = self.engine.hits_in_last_flood(&holders);
         if hits >= self.rare_threshold {
             return SearchOutcome {
-                success: true,
+                success: flood.found,
                 messages: flood.messages,
                 hops: flood.found_at_hop,
                 faults: stats,
                 elapsed: stats.ticks,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
+                ..SearchOutcome::default()
             };
         }
         // Rare query: re-issue over the DHT with retry/backoff per hop.
@@ -254,8 +263,7 @@ impl<R: Recorder> HybridSearch<R> {
             hops: flood.found_at_hop.or(Some(dht.hops)),
             faults: stats,
             elapsed: stats.ticks,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         }
     }
 
@@ -274,90 +282,48 @@ impl<R: Recorder> HybridSearch<R> {
         // qcplint: allow(panic) — build() rejects deadline sans faults.
         let ctx = self.faults.as_mut().expect("deadline requires faults");
         let (time, nonce) = ctx.next_query();
-        if let Some(sched) = &mut self.maintenance {
-            if sched.due() {
-                let alive = ctx.plan.alive_mask_at(time);
-                let (_, messages) = self.index.re_replicate(&self.net, &alive);
-                self.repair_messages += messages;
-                self.recorder.rec_span(Kernel::Repair);
-                self.recorder
-                    .rec_count(Kernel::Repair, Counter::Messages, messages);
-            }
-        }
-        if let Some(cap) = &self.capacity {
-            // Ingress admission control: a refused query pays nothing
-            // and skips both phases.
-            if !cap.admit(query.source, nonce) {
-                return reject_admission(Kernel::Flood, &mut self.recorder);
-            }
+        self.repair_messages += repair_if_due(
+            &mut self.maintenance,
+            &mut self.index,
+            &self.net,
+            &ctx.plan,
+            time,
+            &mut self.recorder,
+        );
+        // Ingress admission control: a refused query pays nothing and
+        // skips both phases.
+        if !self.capacity.admit(query.source, nonce) {
+            return reject_admission(Kernel::Flood, &mut self.recorder);
         }
         if !ctx.plan.alive_at(query.source, time) {
             self.recorder.rec_span(Kernel::Flood);
             self.recorder.rec_event(Kernel::Flood, Event::DeadSource);
-            return SearchOutcome {
-                success: false,
-                messages: 0,
-                hops: None,
-                faults: FaultStats::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
-            };
+            return SearchOutcome::default();
         }
         let matching = world.matching_objects(&query.terms);
         let holders = world.holders_of(&matching);
         // The flood phase alone is capacity-bound; the structured
         // fallback models provisioned infrastructure and keeps its
         // retry/timeout semantics.
-        let (flood, mut stats, over) = match &self.capacity {
-            Some(cap) => self.overload.flood_rec(
-                &world.topology.graph,
-                query.source,
-                self.flood_ttl,
-                &holders,
-                Some(&self.forwarders),
-                &ctx.plan,
-                cap,
-                time,
-                nonce,
-                Some(deadline.ticks),
-                &mut self.recorder,
-            ),
-            None => {
-                let (flood, stats) = event_flood_rec(
-                    &world.topology.graph,
-                    query.source,
-                    self.flood_ttl,
-                    &holders,
-                    Some(&self.forwarders),
-                    &ctx.plan,
-                    time,
-                    nonce,
-                    Some(deadline.ticks),
-                    &mut self.recorder,
-                );
-                (flood, stats, OverloadOutcome::default())
-            }
-        };
+        let (flood, mut stats, over) = self.overload.flood(
+            &world.topology.graph,
+            query.source,
+            self.flood_ttl,
+            &holders,
+            Some(&self.forwarders),
+            &ctx.plan,
+            &self.capacity,
+            time,
+            nonce,
+            Some(deadline.ticks),
+            &mut self.recorder,
+        );
+        if flood.holders_reached >= self.rare_threshold {
+            return event_outcome(Kernel::Flood, &flood, stats, &over, &mut self.recorder);
+        }
         let overload = OverloadStats::from_outcome(&over);
         if overload.overloaded {
             self.recorder.rec_event(Kernel::Flood, Event::Overloaded);
-        }
-        if flood.holders_reached >= self.rare_threshold {
-            let exceeded = flood.truncated && !flood.flood.found;
-            if exceeded {
-                self.recorder
-                    .rec_event(Kernel::Flood, Event::DeadlineExceeded);
-            }
-            return SearchOutcome {
-                success: true,
-                messages: flood.flood.messages,
-                hops: flood.flood.found_at_hop,
-                faults: stats,
-                elapsed: flood.first_hit_time.unwrap_or(flood.completion_time),
-                deadline_exceeded: exceeded,
-                overload,
-            };
         }
         // Rare query: the timed DHT phase starts when the flood drains
         // (or is cut off) and inherits only the remaining budget.
@@ -444,13 +410,10 @@ impl<R: Recorder> SearchSystem for HybridSearch<R> {
         let hits = self.engine.hits_in_last_flood(&holders);
         if hits >= self.rare_threshold {
             return SearchOutcome {
-                success: true,
+                success: flood.found,
                 messages: flood.messages,
                 hops: flood.found_at_hop,
-                faults: FaultStats::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
+                ..SearchOutcome::default()
             };
         }
         // Rare query: re-issue over the DHT.
@@ -467,10 +430,7 @@ impl<R: Recorder> SearchSystem for HybridSearch<R> {
             success: flood.found || !dht.results.is_empty(),
             messages: flood.messages + dht.messages,
             hops: flood.found_at_hop.or(Some(dht.hops)),
-            faults: FaultStats::default(),
-            elapsed: 0,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         }
     }
 
@@ -491,7 +451,7 @@ pub struct DhtOnlySearch<R: Recorder = NoopRecorder> {
     faults: Option<FaultContext>,
     maintenance: Option<MaintenanceSchedule>,
     deadline: Option<Deadline>,
-    capacity: Option<CapacityPlan>,
+    capacity: CapacityPlan,
     repair_messages: u64,
     recorder: R,
 }
@@ -503,7 +463,7 @@ impl<R: Recorder> DhtOnlySearch<R> {
         seed: u64,
         faults: Option<FaultContext>,
         deadline: Option<Deadline>,
-        capacity: Option<CapacityPlan>,
+        capacity: CapacityPlan,
         recorder: R,
     ) -> Self {
         let net = ChordNetwork::new(world.num_peers(), seed ^ 0xcd);
@@ -559,23 +519,19 @@ impl<R: Recorder> SearchSystem for DhtOnlySearch<R> {
         let keys: Vec<u64> = query.terms.iter().map(|&t| term_key(t)).collect();
         if let Some(ctx) = &mut self.faults {
             let (time, nonce) = ctx.next_query();
-            if let Some(sched) = &mut self.maintenance {
-                if sched.due() {
-                    let alive = ctx.plan.alive_mask_at(time);
-                    let (_, messages) = self.index.re_replicate(&self.net, &alive);
-                    self.repair_messages += messages;
-                    self.recorder.rec_span(Kernel::Repair);
-                    self.recorder
-                        .rec_count(Kernel::Repair, Counter::Messages, messages);
-                }
-            }
+            self.repair_messages += repair_if_due(
+                &mut self.maintenance,
+                &mut self.index,
+                &self.net,
+                &ctx.plan,
+                time,
+                &mut self.recorder,
+            );
             if let Some(deadline) = self.deadline {
                 // The DHT is provisioned infrastructure: no queueing
                 // model, but the ingress admission gate still applies.
-                if let Some(cap) = &self.capacity {
-                    if !cap.admit(query.source, nonce) {
-                        return reject_admission(Kernel::ChordLookup, &mut self.recorder);
-                    }
+                if !self.capacity.admit(query.source, nonce) {
+                    return reject_admission(Kernel::ChordLookup, &mut self.recorder);
                 }
                 // Deadline path: per-hop timeout expiry on the event
                 // calendar, degrading to a partial (per-term best-so-far)
@@ -628,8 +584,7 @@ impl<R: Recorder> SearchSystem for DhtOnlySearch<R> {
                 hops: Some(out.hops),
                 faults: stats,
                 elapsed: stats.ticks,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
+                ..SearchOutcome::default()
             };
         }
         let out = self.index.query_keys(&self.net, query.source, &keys);
@@ -639,10 +594,7 @@ impl<R: Recorder> SearchSystem for DhtOnlySearch<R> {
             success,
             messages: out.messages,
             hops: Some(out.hops),
-            faults: FaultStats::default(),
-            elapsed: 0,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         }
     }
 
@@ -776,7 +728,7 @@ mod tests {
 mod faulty_tests {
     use super::*;
     use crate::world::WorldConfig;
-    use qcp_faults::{FaultConfig, FaultPlan, RetryPolicy};
+    use qcp_faults::{FaultConfig, FaultStats, RetryPolicy};
 
     fn world() -> SearchWorld {
         SearchWorld::generate(&WorldConfig {
@@ -1043,6 +995,41 @@ mod faulty_tests {
             scheduled.maintenance_messages()
         );
         assert!(scheduled.maintenance_passes() > 0, "schedule still fires");
+    }
+
+    #[test]
+    fn zero_rare_threshold_never_reports_a_miss_as_success() {
+        // With `rare_threshold == 0` no query is rare, so the flood
+        // phase alone answers: a flood that reached no holder must
+        // fail on every path, not pass the `hits >= 0` rule.
+        let w = world();
+        let q = QuerySpec {
+            terms: vec![4_999_999],
+            source: 3,
+        };
+        let none = || FaultContext::new(FaultPlan::none(500), RetryPolicy::default(), 1);
+        let mut systems = [
+            SearchSpec::hybrid(3, 0, 4).build(&w).into_hybrid(),
+            SearchSpec::hybrid(3, 0, 4)
+                .faults(none())
+                .build(&w)
+                .into_hybrid(),
+            SearchSpec::hybrid(3, 0, 4)
+                .faults(none())
+                .deadline(Deadline::after(64))
+                .build(&w)
+                .into_hybrid(),
+        ];
+        let mut rng = Pcg64::new(41);
+        for (path, sys) in ["fault-free", "faulty", "deadline"]
+            .iter()
+            .zip(&mut systems)
+        {
+            let out = sys.search(&w, &q, &mut rng);
+            assert!(!out.success, "{path}: an unsatisfiable query succeeded");
+            assert_eq!(out.hops, None, "{path}");
+            assert_eq!(sys.fallbacks, 0, "{path}: threshold 0 never falls back");
+        }
     }
 
     #[test]

@@ -266,6 +266,9 @@ impl<R: Recorder> SearchSpec<R> {
              context and a deadline first"
         );
         let replicas = replication.map(|plan| ReplicaSet::build(world, &plan));
+        // Without `.capacity()` every node has infinite capacity: the
+        // unlimited plan admits and serves every message on arrival.
+        let capacity = capacity.unwrap_or_else(CapacityPlan::unlimited);
         match kind {
             Kind::Flood { ttl } => Built::Flood(FloodSearch::assemble(
                 world, ttl, faults, deadline, capacity, replicas, recorder,

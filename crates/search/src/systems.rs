@@ -5,11 +5,10 @@ use crate::spec::SearchSpec;
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_faults::{CapacityPlan, FaultPlan, FaultStats, RetryPolicy};
 use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
-use qcp_overlay::expanding::{expanding_ring_search_faulty_rec, expanding_ring_search_rec};
-use qcp_overlay::flood::{FloodEngine, FloodSpec};
-use qcp_overlay::walk::{random_walk_search_faulty_rec, random_walk_search_rec};
+use qcp_overlay::flood::{FloodEngine, FloodFaults, FloodSpec};
 use qcp_overlay::{
-    event_flood_rec, event_walk_rec, OverloadEngine, OverloadOutcome, Placement, ReplicationPlan,
+    expanding_ring_search, random_walk_search, EventFloodOutcome, EventWalkOutcome, OverloadEngine,
+    OverloadOutcome, Placement, ReplicationPlan,
 };
 use qcp_util::hash::mix64;
 use qcp_util::rng::{child_seed, Pcg64};
@@ -59,8 +58,9 @@ fn note_copies_placed<R: Recorder>(kernel: Kernel, replication: Option<&ReplicaS
     }
 }
 
-/// Result of one query through one system.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Result of one query through one system. The default is the outcome
+/// of a query that sent nothing and found nothing (a departed issuer).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SearchOutcome {
     /// Whether a peer holding a matching object was located.
     pub success: bool,
@@ -163,13 +163,95 @@ pub(crate) fn reject_admission<R: Recorder>(kernel: Kernel, rec: &mut R) -> Sear
     rec.rec_count(kernel, Counter::AdmissionRejected, 1);
     rec.rec_event(kernel, Event::Overloaded);
     SearchOutcome {
-        success: false,
-        messages: 0,
-        hops: None,
-        faults: FaultStats::default(),
-        elapsed: 0,
-        deadline_exceeded: false,
         overload: OverloadStats::rejected(),
+        ..SearchOutcome::default()
+    }
+}
+
+/// An event-engine outcome, as [`event_outcome`] reads it.
+pub(crate) trait EventRun {
+    /// `(found, messages, hops)` of the run.
+    fn answer(&self) -> (bool, u64, Option<u32>);
+    /// Whether the cutoff stopped the run, and the query's elapsed time:
+    /// the first hit, or the completion time on a miss.
+    fn clock(&self) -> (bool, u64);
+}
+
+impl EventRun for EventFloodOutcome {
+    fn answer(&self) -> (bool, u64, Option<u32>) {
+        (
+            self.flood.found,
+            self.flood.messages,
+            self.flood.found_at_hop,
+        )
+    }
+
+    fn clock(&self) -> (bool, u64) {
+        (
+            self.truncated,
+            self.first_hit_time.unwrap_or(self.completion_time),
+        )
+    }
+}
+
+impl EventRun for EventWalkOutcome {
+    fn answer(&self) -> (bool, u64, Option<u32>) {
+        (self.walk.found, self.walk.messages, self.walk.found_at_step)
+    }
+
+    fn clock(&self) -> (bool, u64) {
+        (
+            self.truncated,
+            self.first_hit_time.unwrap_or(self.completion_time),
+        )
+    }
+}
+
+/// Turns one event-engine run into a [`SearchOutcome`]. Records
+/// `DeadlineExceeded` when the cutoff ended a run that found nothing,
+/// and `Overloaded` when shedding cost the run work (never under an
+/// unlimited plan, whose overload outcome is all zeros).
+pub(crate) fn event_outcome<R: Recorder>(
+    kernel: Kernel,
+    run: &impl EventRun,
+    faults: FaultStats,
+    over: &OverloadOutcome,
+    rec: &mut R,
+) -> SearchOutcome {
+    let (success, messages, hops) = run.answer();
+    let (truncated, elapsed) = run.clock();
+    let deadline_exceeded = truncated && !success;
+    if deadline_exceeded {
+        rec.rec_event(kernel, Event::DeadlineExceeded);
+    }
+    let overload = OverloadStats::from_outcome(over);
+    if overload.overloaded {
+        rec.rec_event(kernel, Event::Overloaded);
+    }
+    SearchOutcome {
+        success,
+        messages,
+        hops,
+        faults,
+        elapsed,
+        deadline_exceeded,
+        overload,
+    }
+}
+
+/// The query's fault context as the overlay kernels take it: `None` on
+/// a fault-free system.
+fn kernel_faults(
+    faults: Option<&FaultContext>,
+    draw: Option<(u64, u64)>,
+) -> Option<FloodFaults<'_>> {
+    match (faults, draw) {
+        (Some(ctx), Some((time, nonce))) => Some(FloodFaults {
+            plan: &ctx.plan,
+            time,
+            nonce,
+        }),
+        _ => None,
     }
 }
 
@@ -290,7 +372,7 @@ pub struct FloodSearch<R: Recorder = NoopRecorder> {
     forwarders: Vec<bool>,
     faults: Option<FaultContext>,
     deadline: Option<Deadline>,
-    capacity: Option<CapacityPlan>,
+    capacity: CapacityPlan,
     replication: Option<ReplicaSet>,
     recorder: R,
 }
@@ -302,7 +384,7 @@ impl<R: Recorder> FloodSearch<R> {
         ttl: u32,
         faults: Option<FaultContext>,
         deadline: Option<Deadline>,
-        capacity: Option<CapacityPlan>,
+        capacity: CapacityPlan,
         replication: Option<ReplicaSet>,
         mut recorder: R,
     ) -> Self {
@@ -334,9 +416,9 @@ impl<R: Recorder> FloodSearch<R> {
 /// One flood query against an explicit holder set: the engine body
 /// shared by the recorded primary run and the owner-only shadow run
 /// that [`SearchSpec::replication`] uses for copies-hit accounting.
-/// Admission control, engine selection (capacity / deadline / census)
-/// and event recording all happen here, against whichever recorder is
-/// passed.
+/// Admission control, engine selection (the event engine under a
+/// deadline, the census otherwise) and event recording all happen here,
+/// against whichever recorder is passed.
 #[allow(clippy::too_many_arguments)]
 fn flood_once<R: Recorder>(
     engine: &mut FloodEngine,
@@ -344,7 +426,7 @@ fn flood_once<R: Recorder>(
     forwarders: &[bool],
     faults: Option<&FaultContext>,
     deadline: Option<Deadline>,
-    capacity: Option<&CapacityPlan>,
+    capacity: &CapacityPlan,
     ttl: u32,
     world: &SearchWorld,
     query: &QuerySpec,
@@ -353,78 +435,34 @@ fn flood_once<R: Recorder>(
     rec: &mut R,
 ) -> SearchOutcome {
     if let (Some(deadline), Some((time, nonce))) = (deadline, draw) {
-        // Deadline path: the event-driven flood on real link
-        // latencies, cut off at the deadline.
+        // Deadline path: the event-driven flood on real link latencies,
+        // cut off at the deadline, with bounded queues and service rates
+        // under a limited capacity plan, gated by ingress admission
+        // control (an unlimited plan admits and serves everything).
         // qcplint: allow(panic) — build() rejects deadline sans faults.
         let ctx = faults.expect("deadline requires faults");
-        if let Some(cap) = capacity {
-            // Capacity path: bounded queues and service rates on the
-            // overload engine (bitwise the plain event flood under an
-            // unlimited plan), gated by ingress admission control.
-            if !cap.admit(query.source, nonce) {
-                return reject_admission(Kernel::Flood, rec);
-            }
-            let (out, stats, over) = overload.flood_rec(
-                &world.topology.graph,
-                query.source,
-                ttl,
-                holders,
-                Some(forwarders),
-                &ctx.plan,
-                cap,
-                time,
-                nonce,
-                Some(deadline.ticks),
-                rec,
-            );
-            let exceeded = out.truncated && !out.flood.found;
-            if exceeded {
-                rec.rec_event(Kernel::Flood, Event::DeadlineExceeded);
-            }
-            let overload = OverloadStats::from_outcome(&over);
-            if overload.overloaded {
-                rec.rec_event(Kernel::Flood, Event::Overloaded);
-            }
-            return SearchOutcome {
-                success: out.flood.found,
-                messages: out.flood.messages,
-                hops: out.flood.found_at_hop,
-                faults: stats,
-                elapsed: out.first_hit_time.unwrap_or(out.completion_time),
-                deadline_exceeded: exceeded,
-                overload,
-            };
+        if !capacity.admit(query.source, nonce) {
+            return reject_admission(Kernel::Flood, rec);
         }
-        let (out, stats) = event_flood_rec(
+        let (out, stats, over) = overload.flood(
             &world.topology.graph,
             query.source,
             ttl,
             holders,
             Some(forwarders),
             &ctx.plan,
+            capacity,
             time,
             nonce,
             Some(deadline.ticks),
             rec,
         );
-        let exceeded = out.truncated && !out.flood.found;
-        if exceeded {
-            rec.rec_event(Kernel::Flood, Event::DeadlineExceeded);
-        }
-        return SearchOutcome {
-            success: out.flood.found,
-            messages: out.flood.messages,
-            hops: out.flood.found_at_hop,
-            faults: stats,
-            elapsed: out.first_hit_time.unwrap_or(out.completion_time),
-            deadline_exceeded: exceeded,
-            overload: OverloadStats::default(),
-        };
+        return event_outcome(Kernel::Flood, &out, stats, &over, rec);
     }
-    let mut spec = FloodSpec::new(ttl);
-    if let (Some(ctx), Some((time, nonce))) = (faults, draw) {
-        spec = spec.faulty(&ctx.plan, time, nonce);
-    }
+    let spec = FloodSpec {
+        plan: kernel_faults(faults, draw),
+        ..FloodSpec::new(ttl)
+    };
     let (census, stats) = engine.run(
         &world.topology.graph,
         query.source,
@@ -441,8 +479,7 @@ fn flood_once<R: Recorder>(
         hops: out.found_at_hop,
         faults: stats[level],
         elapsed: stats[level].ticks,
-        deadline_exceeded: false,
-        overload: OverloadStats::default(),
+        ..SearchOutcome::default()
     }
 }
 
@@ -473,7 +510,7 @@ impl<R: Recorder> SearchSystem for FloodSearch<R> {
             &self.forwarders,
             self.faults.as_ref(),
             self.deadline,
-            self.capacity.as_ref(),
+            &self.capacity,
             self.ttl,
             world,
             query,
@@ -494,7 +531,7 @@ impl<R: Recorder> SearchSystem for FloodSearch<R> {
                 &self.forwarders,
                 self.faults.as_ref(),
                 self.deadline,
-                self.capacity.as_ref(),
+                &self.capacity,
                 self.ttl,
                 world,
                 query,
@@ -521,7 +558,7 @@ pub struct RandomWalkSearch<R: Recorder = NoopRecorder> {
     overload: OverloadEngine,
     faults: Option<FaultContext>,
     deadline: Option<Deadline>,
-    capacity: Option<CapacityPlan>,
+    capacity: CapacityPlan,
     replication: Option<ReplicaSet>,
     recorder: R,
 }
@@ -533,7 +570,7 @@ impl<R: Recorder> RandomWalkSearch<R> {
         ttl: u32,
         faults: Option<FaultContext>,
         deadline: Option<Deadline>,
-        capacity: Option<CapacityPlan>,
+        capacity: CapacityPlan,
         replication: Option<ReplicaSet>,
         mut recorder: R,
     ) -> Self {
@@ -562,7 +599,7 @@ impl<R: Recorder> RandomWalkSearch<R> {
 }
 
 /// One walk query against an explicit holder set (see [`flood_once`]):
-/// draws the walk seed (deadline path) or walker steps (sync paths)
+/// draws the walk seed (deadline path) or walker steps (sync path)
 /// from `rng`, so the copies-hit shadow passes a pre-primary clone to
 /// replay the exact walker trajectories over the owner-only holders.
 #[allow(clippy::too_many_arguments)]
@@ -572,7 +609,7 @@ fn walk_once<R: Recorder>(
     ttl: u32,
     faults: Option<&FaultContext>,
     deadline: Option<Deadline>,
-    capacity: Option<&CapacityPlan>,
+    capacity: &CapacityPlan,
     world: &SearchWorld,
     query: &QuerySpec,
     holders: &[u32],
@@ -582,53 +619,19 @@ fn walk_once<R: Recorder>(
 ) -> SearchOutcome {
     if let (Some(deadline), Some((time, nonce))) = (deadline, draw) {
         // Deadline path: walkers race over real link latencies on the
-        // event calendar; each walker draws from its own seeded
-        // stream, so this path's one extra `rng` draw (the walk seed)
-        // is its only RNG footprint.
+        // event calendar, their steps queueing for service at each node
+        // under a limited capacity plan; each walker draws from its own
+        // seeded stream, so this path's one extra `rng` draw (the walk
+        // seed) is its only RNG footprint. The walk seed is drawn before
+        // the admission gate, so rejection never shifts later queries'
+        // draws.
         // qcplint: allow(panic) — build() rejects deadline sans faults.
         let ctx = faults.expect("deadline requires faults");
         let walk_seed = rng.next();
-        if let Some(cap) = capacity {
-            // Capacity path: walker steps queue for service at each
-            // node (bitwise the plain event walk under an unlimited
-            // plan). The walk seed is drawn before the admission
-            // gate, so rejection never shifts later queries' draws.
-            if !cap.admit(query.source, nonce) {
-                return reject_admission(Kernel::Walk, rec);
-            }
-            let (out, stats, over) = overload.walk_rec(
-                &world.topology.graph,
-                query.source,
-                walkers,
-                ttl,
-                holders,
-                walk_seed,
-                &ctx.plan,
-                cap,
-                time,
-                nonce,
-                Some(deadline.ticks),
-                rec,
-            );
-            let exceeded = out.truncated && !out.walk.found;
-            if exceeded {
-                rec.rec_event(Kernel::Walk, Event::DeadlineExceeded);
-            }
-            let overload = OverloadStats::from_outcome(&over);
-            if overload.overloaded {
-                rec.rec_event(Kernel::Walk, Event::Overloaded);
-            }
-            return SearchOutcome {
-                success: out.walk.found,
-                messages: out.walk.messages,
-                hops: out.walk.found_at_step,
-                faults: stats,
-                elapsed: out.first_hit_time.unwrap_or(out.completion_time),
-                deadline_exceeded: exceeded,
-                overload,
-            };
+        if !capacity.admit(query.source, nonce) {
+            return reject_admission(Kernel::Walk, rec);
         }
-        let (out, stats) = event_walk_rec(
+        let (out, stats, over) = overload.walk(
             &world.topology.graph,
             query.source,
             walkers,
@@ -636,65 +639,31 @@ fn walk_once<R: Recorder>(
             holders,
             walk_seed,
             &ctx.plan,
+            capacity,
             time,
             nonce,
             Some(deadline.ticks),
             rec,
         );
-        let exceeded = out.truncated && !out.walk.found;
-        if exceeded {
-            rec.rec_event(Kernel::Walk, Event::DeadlineExceeded);
-        }
-        return SearchOutcome {
-            success: out.walk.found,
-            messages: out.walk.messages,
-            hops: out.walk.found_at_step,
-            faults: stats,
-            elapsed: out.first_hit_time.unwrap_or(out.completion_time),
-            deadline_exceeded: exceeded,
-            overload: OverloadStats::default(),
-        };
+        return event_outcome(Kernel::Walk, &out, stats, &over, rec);
     }
-    if let (Some(ctx), Some((time, nonce))) = (faults, draw) {
-        let (out, stats) = random_walk_search_faulty_rec(
-            &world.topology.graph,
-            query.source,
-            walkers,
-            ttl,
-            holders,
-            rng,
-            &ctx.plan,
-            time,
-            nonce,
-            rec,
-        );
-        return SearchOutcome {
-            success: out.found,
-            messages: out.messages,
-            hops: out.found_at_step,
-            faults: stats,
-            elapsed: stats.ticks,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
-        };
-    }
-    let out = random_walk_search_rec(
+    let (out, stats) = random_walk_search(
         &world.topology.graph,
         query.source,
         walkers,
         ttl,
         holders,
         rng,
+        kernel_faults(faults, draw),
         rec,
     );
     SearchOutcome {
         success: out.found,
         messages: out.messages,
         hops: out.found_at_step,
-        faults: FaultStats::default(),
-        elapsed: 0,
-        deadline_exceeded: false,
-        overload: OverloadStats::default(),
+        faults: stats,
+        elapsed: stats.ticks,
+        ..SearchOutcome::default()
     }
 }
 
@@ -720,7 +689,7 @@ impl<R: Recorder> SearchSystem for RandomWalkSearch<R> {
             self.ttl,
             self.faults.as_ref(),
             self.deadline,
-            self.capacity.as_ref(),
+            &self.capacity,
             world,
             query,
             &holders,
@@ -737,7 +706,7 @@ impl<R: Recorder> SearchSystem for RandomWalkSearch<R> {
                 self.ttl,
                 self.faults.as_ref(),
                 self.deadline,
-                self.capacity.as_ref(),
+                &self.capacity,
                 world,
                 query,
                 &base,
@@ -873,7 +842,7 @@ pub struct ExpandingRingSearch<R: Recorder = NoopRecorder> {
     forwarders: Vec<bool>,
     faults: Option<FaultContext>,
     deadline: Option<Deadline>,
-    capacity: Option<CapacityPlan>,
+    capacity: CapacityPlan,
     replication: Option<ReplicaSet>,
     recorder: R,
     /// Total rings attempted across every query served (for reports):
@@ -891,7 +860,7 @@ impl<R: Recorder> ExpandingRingSearch<R> {
         max_ttl: u32,
         faults: Option<FaultContext>,
         deadline: Option<Deadline>,
-        capacity: Option<CapacityPlan>,
+        capacity: CapacityPlan,
         replication: Option<ReplicaSet>,
         mut recorder: R,
     ) -> Self {
@@ -947,7 +916,7 @@ fn ring_once<R: Recorder>(
     forwarders: &[bool],
     faults: Option<&FaultContext>,
     deadline: Option<Deadline>,
-    capacity: Option<&CapacityPlan>,
+    capacity: &CapacityPlan,
     max_ttl: u32,
     world: &SearchWorld,
     query: &QuerySpec,
@@ -958,28 +927,15 @@ fn ring_once<R: Recorder>(
     if let (Some(deadline), Some((time, nonce))) = (deadline, draw) {
         // qcplint: allow(panic) — build() rejects deadline sans faults.
         let ctx = faults.expect("deadline requires faults");
-        if let Some(cap) = capacity {
-            // Admission control gates the whole deepening schedule: a
-            // rejected query never issues its first ring.
-            if !cap.admit(query.source, nonce) {
-                return (reject_admission(Kernel::ExpandingRing, rec), 0);
-            }
+        // Admission control gates the whole deepening schedule: a
+        // rejected query never issues its first ring.
+        if !capacity.admit(query.source, nonce) {
+            return (reject_admission(Kernel::ExpandingRing, rec), 0);
         }
         rec.rec_span(Kernel::ExpandingRing);
         if !ctx.plan.alive_at(query.source, time) {
             rec.rec_event(Kernel::ExpandingRing, Event::DeadSource);
-            return (
-                SearchOutcome {
-                    success: false,
-                    messages: 0,
-                    hops: None,
-                    faults: FaultStats::default(),
-                    elapsed: 0,
-                    deadline_exceeded: false,
-                    overload: OverloadStats::default(),
-                },
-                0,
-            );
+            return (SearchOutcome::default(), 0);
         }
         let mut messages = 0u64;
         let mut stats = FaultStats::default();
@@ -994,37 +950,20 @@ fn ring_once<R: Recorder>(
             // Each ring is an independent flood with its own drop-stream
             // position, as in the synchronous schedule's re-floods.
             let ring_nonce = mix64(nonce ^ u64::from(ttl));
-            let (out, ring_stats) = match capacity {
-                Some(cap) => {
-                    let (out, ring_stats, over) = overload.flood_rec(
-                        &world.topology.graph,
-                        query.source,
-                        ttl,
-                        holders,
-                        Some(forwarders),
-                        &ctx.plan,
-                        cap,
-                        time,
-                        ring_nonce,
-                        Some(deadline.ticks - spent),
-                        rec,
-                    );
-                    overload_stats.absorb_outcome(&over);
-                    (out, ring_stats)
-                }
-                None => event_flood_rec(
-                    &world.topology.graph,
-                    query.source,
-                    ttl,
-                    holders,
-                    Some(forwarders),
-                    &ctx.plan,
-                    time,
-                    ring_nonce,
-                    Some(deadline.ticks - spent),
-                    rec,
-                ),
-            };
+            let (out, ring_stats, over) = overload.flood(
+                &world.topology.graph,
+                query.source,
+                ttl,
+                holders,
+                Some(forwarders),
+                &ctx.plan,
+                capacity,
+                time,
+                ring_nonce,
+                Some(deadline.ticks - spent),
+                rec,
+            );
+            overload_stats.absorb_outcome(&over);
             rings += 1;
             messages += out.flood.messages;
             stats.absorb(&ring_stats);
@@ -1076,39 +1015,14 @@ fn ring_once<R: Recorder>(
             rings,
         );
     }
-    if let (Some(ctx), Some((time, nonce))) = (faults, draw) {
-        let (out, stats) = expanding_ring_search_faulty_rec(
-            engine,
-            &world.topology.graph,
-            query.source,
-            max_ttl,
-            holders,
-            Some(forwarders),
-            &ctx.plan,
-            time,
-            nonce,
-            rec,
-        );
-        return (
-            SearchOutcome {
-                success: out.found,
-                messages: out.messages,
-                hops: out.found_at_ttl,
-                faults: stats,
-                elapsed: stats.ticks,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
-            },
-            out.rings as u64,
-        );
-    }
-    let out = expanding_ring_search_rec(
+    let (out, stats) = expanding_ring_search(
         engine,
         &world.topology.graph,
         query.source,
         max_ttl,
         holders,
         Some(forwarders),
+        kernel_faults(faults, draw),
         rec,
     );
     (
@@ -1116,10 +1030,9 @@ fn ring_once<R: Recorder>(
             success: out.found,
             messages: out.messages,
             hops: out.found_at_ttl,
-            faults: FaultStats::default(),
-            elapsed: 0,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+            faults: stats,
+            elapsed: stats.ticks,
+            ..SearchOutcome::default()
         },
         out.rings as u64,
     )
@@ -1149,7 +1062,7 @@ impl<R: Recorder> SearchSystem for ExpandingRingSearch<R> {
             &self.forwarders,
             self.faults.as_ref(),
             self.deadline,
-            self.capacity.as_ref(),
+            &self.capacity,
             self.max_ttl,
             world,
             query,
@@ -1170,7 +1083,7 @@ impl<R: Recorder> SearchSystem for ExpandingRingSearch<R> {
                 &self.forwarders,
                 self.faults.as_ref(),
                 self.deadline,
-                self.capacity.as_ref(),
+                &self.capacity,
                 self.max_ttl,
                 world,
                 query,

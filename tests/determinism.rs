@@ -838,7 +838,6 @@ fn profile_thread_width_does_not_leak() {
 // ---------------------------------------------------------------------
 
 use qcp2p::obs::Event;
-use qcp2p::overlay::event_flood;
 use qcp2p::overlay::flood::FloodEngine;
 use qcp_bench::latency::{latency_data, latency_data_recorded};
 
@@ -857,21 +856,25 @@ fn event_flood_at_forty_thousand_nodes_is_bitwise_the_census() {
         "guard: the holder set must be nontrivial"
     );
     let plan = FaultPlan::none(n);
+    let unlimited = CapacityPlan::unlimited();
+    let mut events = OverloadEngine::new();
     let max_ttl = 6;
     for source in [0u32, 17_321] {
         let mut engine = FloodEngine::new(n);
         let census = engine.flood_census(&topo.graph, source, max_ttl, &holders, Some(&fwd));
         for ttl in 0..=max_ttl {
-            let (out, stats) = event_flood(
+            let (out, stats, _) = events.flood(
                 &topo.graph,
                 source,
                 ttl,
                 &holders,
                 Some(&fwd),
                 &plan,
+                &unlimited,
                 0,
                 0x40aa,
                 None,
+                &mut NoopRecorder,
             );
             assert_eq!(
                 out.flood,
@@ -887,16 +890,18 @@ fn event_flood_at_forty_thousand_nodes_is_bitwise_the_census() {
             assert_eq!(stats.dropped, 0, "the none-plan must not fire");
         }
         // The rare-query hit counter agrees with the synchronous engine.
-        let (out, _) = event_flood(
+        let (out, _, _) = events.flood(
             &topo.graph,
             source,
             max_ttl,
             &holders,
             Some(&fwd),
             &plan,
+            &unlimited,
             0,
             0x40aa,
             None,
+            &mut NoopRecorder,
         );
         assert_eq!(out.holders_reached, engine.hits_in_last_flood(&holders));
     }
@@ -1310,4 +1315,197 @@ fn figures_one_to_seven_match_golden_capture() {
         .iter()
         .any(|s| s.flagged.iter().any(|v| !v.is_empty())));
     assert!(f.fig7.popular_vs_popular_files.iter().any(|&j| j > 0.0));
+}
+
+// ---------------------------------------------------------------------
+// Event kernels: a golden capture of the virtual-time flood and walk on
+// a 300-node two-tier world, over fault-free and lossy/latent/churning
+// plans, unlimited and limited capacity plans (each shed policy on the
+// uniform model, plus the Gia ladder), and no / tight / loose cutoffs.
+// Every outcome, `FaultStats` and `OverloadOutcome` field and the
+// `MetricsRecorder` state of each cell is hashed, so any change to the
+// event loop's schedule, accounting or recording shows up here.
+// ---------------------------------------------------------------------
+
+use qcp2p::faults::{CapacityConfig, CapacityModel, CapacityPlan, FaultStats, ShedPolicy};
+use qcp2p::overlay::{OverloadEngine, OverloadOutcome};
+
+/// Golden `(cell, FNV-1a hash)` for the event-kernel grid below.
+const GOLDEN_EVENT_KERNELS: &[(&str, u64)] = &[
+    ("none/unlimited", 0x9c60b7a176dc7b00),
+    ("none/uniform-DropNewest", 0xaf98c76e0eb2b475),
+    ("none/uniform-DropOldest", 0xf2311b2beaed3ae9),
+    ("none/uniform-TtlPriority", 0xa3b7e703d1a9d380),
+    ("none/gia", 0xb9fc12c198f0e0b2),
+    ("lossy/unlimited", 0xe0eade5066bd49cd),
+    ("lossy/uniform-DropNewest", 0x947f1e4739aef8ff),
+    ("lossy/uniform-DropOldest", 0xc8bac672f2b28ea8),
+    ("lossy/uniform-TtlPriority", 0x3ba784be5bdbdbd0),
+    ("lossy/gia", 0x9c6693b8a2d2aa3b),
+];
+
+fn fault_words(s: &FaultStats) -> [u64; 6] {
+    [
+        s.dropped,
+        s.dead_targets,
+        s.retries,
+        s.timeouts,
+        s.stale_misses,
+        s.ticks,
+    ]
+}
+
+fn overload_words(o: &OverloadOutcome) -> [u64; 7] {
+    [
+        o.enqueued,
+        o.served,
+        o.shed,
+        o.displaced,
+        o.queue_delay,
+        o.in_flight,
+        o.backlog_seeded,
+    ]
+}
+
+fn opt_words<T: Into<u64>>(v: Option<T>) -> [u64; 2] {
+    match v {
+        Some(x) => [1, x.into()],
+        None => [0, 0],
+    }
+}
+
+/// The golden grid: per-cell hashes, plus guard tallies over every run
+/// (sheds, truncated runs, hits, drops) proving the grid exercises each
+/// mechanism it pins.
+fn event_kernel_grid() -> (Vec<(String, u64)>, [u64; 4]) {
+    let topo = gnutella_two_tier(&TopologyConfig {
+        num_nodes: 300,
+        seed: 0xe7e47,
+        ..Default::default()
+    });
+    let n = topo.graph.num_nodes();
+    let fwd = topo.forwarders();
+    let holders: Vec<u32> = (0..n as u32)
+        .filter(|&v| qcp2p::util::hash::mix64(0xe7 ^ v as u64).is_multiple_of(23))
+        .collect();
+    let faults = [
+        ("none", FaultPlan::none(n)),
+        (
+            "lossy",
+            FaultPlan::build(
+                n,
+                &FaultConfig {
+                    loss: 0.2,
+                    churn: 0.25,
+                    mean_latency: 5,
+                    seed: 0xe7,
+                    ..Default::default()
+                },
+            ),
+        ),
+    ];
+    let limited = |policy, model| {
+        CapacityPlan::build(&CapacityConfig {
+            offered_load: 4.0,
+            queue_bound: 4,
+            policy,
+            model,
+            seed: 0xca9,
+        })
+    };
+    let mut caps = vec![("unlimited".to_string(), CapacityPlan::unlimited())];
+    for policy in ShedPolicy::ALL {
+        caps.push((
+            format!("uniform-{policy:?}"),
+            limited(policy, CapacityModel::Uniform),
+        ));
+    }
+    caps.push((
+        "gia".to_string(),
+        limited(ShedPolicy::DropOldest, CapacityModel::GiaLadder),
+    ));
+    let mut engine = OverloadEngine::new();
+    let mut cells = Vec::new();
+    let mut guards = [0u64; 4];
+    for (fname, plan) in &faults {
+        for (cname, cap) in &caps {
+            let mut rec = MetricsRecorder::new();
+            let mut w: Vec<u64> = Vec::new();
+            for cutoff in [None, Some(4u64), Some(30)] {
+                for (i, source) in [0u32, 7, 45, 123, 250, 299].into_iter().enumerate() {
+                    let time = i as u64 * 5;
+                    let nonce = qcp2p::util::hash::mix64(0x901de ^ u64::from(source));
+                    let (f, fs, fo) = engine.flood(
+                        &topo.graph,
+                        source,
+                        5,
+                        &holders,
+                        Some(&fwd),
+                        plan,
+                        cap,
+                        time,
+                        nonce,
+                        cutoff,
+                        &mut rec,
+                    );
+                    w.push(u64::from(f.flood.found));
+                    w.extend(opt_words(f.flood.found_at_hop));
+                    w.extend([u64::from(f.flood.reached), f.flood.messages]);
+                    w.extend(opt_words(f.first_hit_time));
+                    w.extend([
+                        f.completion_time,
+                        u64::from(f.truncated),
+                        u64::from(f.holders_reached),
+                    ]);
+                    w.extend(fault_words(&fs));
+                    w.extend(overload_words(&fo));
+                    let (k, ks, ko) = engine.walk(
+                        &topo.graph,
+                        source,
+                        4,
+                        24,
+                        &holders,
+                        nonce ^ 0x3a1c,
+                        plan,
+                        cap,
+                        time,
+                        nonce,
+                        cutoff,
+                        &mut rec,
+                    );
+                    w.push(u64::from(k.walk.found));
+                    w.extend(opt_words(k.walk.found_at_step));
+                    w.extend([k.walk.messages, u64::from(k.walk.visited)]);
+                    w.extend(opt_words(k.first_hit_time));
+                    w.extend([k.completion_time, u64::from(k.truncated)]);
+                    w.extend(fault_words(&ks));
+                    w.extend(overload_words(&ko));
+                    if cap.is_unlimited() {
+                        assert_eq!((fo, ko), Default::default(), "unlimited overload footprint");
+                    }
+                    guards[0] += fo.shed + ko.shed;
+                    guards[1] += u64::from(f.truncated) + u64::from(k.truncated);
+                    guards[2] += u64::from(f.flood.found) + u64::from(k.walk.found);
+                    guards[3] += fs.dropped + ks.dropped;
+                }
+            }
+            w.extend(format!("{rec:?}").bytes().map(u64::from));
+            cells.push((format!("{fname}/{cname}"), fnv(&w)));
+        }
+    }
+    (cells, guards)
+}
+
+#[test]
+fn event_kernels_match_golden_capture() {
+    let (got, guards) = event_kernel_grid();
+    assert!(
+        guards.iter().all(|&g| g > 0),
+        "the grid must shed, truncate, hit and drop: {guards:?}"
+    );
+    let got: Vec<(&str, u64)> = got.iter().map(|(c, h)| (c.as_str(), *h)).collect();
+    assert_eq!(
+        got, GOLDEN_EVENT_KERNELS,
+        "event flood/walk drifted from the golden capture"
+    );
 }
